@@ -2,7 +2,9 @@
 """Regenerate every named figure scenario into an output directory.
 
 Usage:
-    python scripts/run_figures.py [--out out/figures] [--svg] [--only fig4 fig6]
+    python scripts/run_figures.py [--out out/figures] [--only fig4 fig6]
+
+Every scenario writes its SVG charts beside its CSV tables.
 
 fig6 velocity-averages a full pump sweep and takes a few minutes; everything
 else finishes in seconds.
@@ -18,15 +20,12 @@ from ramanlight.config import PRESET_BUILDERS, preset
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/figures")
-    parser.add_argument("--svg", action="store_true", default=True)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--only", nargs="*", default=sorted(PRESET_BUILDERS))
     args = parser.parse_args(argv)
 
     for name in args.only:
         print(f"== {name}")
-        report = run_scenario(preset(name), args.out, svg=args.svg,
-                              threads=args.threads)
+        report = run_scenario(preset(name), args.out, svg=True)
         print(f"   finished in {report.wall_time:.1f}s")
         for key, value in report.headline.items():
             print(f"   {key} = {value:.6g}")

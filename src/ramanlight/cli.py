@@ -1,10 +1,10 @@
 """Command-line front end: figure scenarios, scans, pulses and sweeps.
 
-Each run resolves a ScenarioConfig (preset and/or config file), produces
-CSV tables (and optional SVG charts) in the output directory and prints a
-report whose headline numbers are all also present in the emitted metrics
-CSV. Failures print a single machine-readable JSON error line on stderr
-and exit nonzero.
+Each run resolves a ScenarioConfig (a preset or the defaults, overlaid by
+the keys a config file sets), produces CSV tables (and optional SVG
+charts) in the output directory and prints a report whose headline numbers
+are all also present in the emitted metrics CSV. Failures print a single
+machine-readable JSON error line on stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -79,12 +80,6 @@ def _doppler_or_none(config: ScenarioConfig) -> DopplerConfig | None:
     return config.doppler if config.doppler_enabled else None
 
 
-def _group_index_numbers(evaluator, delta: float, scale: PhysicalScale):
-    chi0 = evaluator(0.0)
-    slope = dispersion_slope(evaluator, 0.0, delta / 200.0)
-    return group_index(chi0, slope, scale)
-
-
 def _eit_config(config: ScenarioConfig, omega_c: float) -> ThreeLevelConfig:
     system = config.system
     return ThreeLevelConfig(omega_c=omega_c, omega_p=config.drive.omega_p,
@@ -93,35 +88,67 @@ def _eit_config(config: ScenarioConfig, omega_c: float) -> ThreeLevelConfig:
                             gamma3_deph=system.gamma3_deph)
 
 
-def _propagation_run(config: ScenarioConfig, evaluator, scale, threads: int):
-    grid = _pulse_band_grid(config)
-    spectrum = scan_evaluator(evaluator, grid, threads=threads)
+def _write_svg(path: Path, series, **chart) -> Path:
+    return tables.atomic_write_text(path, svgplot.render_line_chart(series, **chart))
+
+
+def _normalised_pulses(curves: list[tuple[str, pulses.Pulse]]) -> list:
+    """Chart series of each pulse's intensity, peak 1, against time in us."""
+    series = []
+    for label, pulse in curves:
+        intensity = pulse.intensity()
+        series.append((label, pulse.times * 1e6, intensity / intensity.max()))
+    return series
+
+
+def _pulse_case(config: ScenarioConfig, evaluator, step: float):
+    """Propagate the configured pulse through the evaluator's medium.
+
+    Returns the pulse-band spectrum, the input pulse, its vacuum reference,
+    the output pulse and the headline numbers. ``step`` is the
+    dispersion-slope step of the group index that predicts the delay.
+    """
+    scale = _scale_of(config)
+    spectrum = scan_evaluator(evaluator, _pulse_band_grid(config))
     pulse = pulses.synthesize_gaussian(config.pulse.sigma, config.pulse.window,
                                        config.pulse.samples)
     reference = pulses.vacuum_reference(pulse, scale)
-    out = pulses.propagate(pulse, spectrum, scale)
-    return spectrum, pulse, reference, out
+    output = pulses.propagate(pulse, spectrum, scale)
+    n_g = group_index(evaluator(0.0), dispersion_slope(evaluator, 0.0, step),
+                      scale).n_g
+    summary = pulses.metrics(pulse, output, reference,
+                             (n_g - 1.0) * scale.length / const.c)
+    numbers = {
+        "group_index": n_g,
+        "peak_delay_s": summary.peak_delay,
+        "predicted_group_delay_s": summary.predicted_group_delay,
+        "stretch": summary.stretch,
+        "transmission": summary.transmission,
+    }
+    return spectrum, pulse, reference, output, numbers
 
 
 # ---------------------------------------------------------------------------
 # scenario runners
 
 def _run_spectrum_scenario(config: ScenarioConfig, out: Path,
-                           svg: bool, threads: int) -> tuple[list, dict]:
+                           svg: bool) -> tuple[list, dict]:
     name = config.scenario
     evaluator = make_chi_evaluator(config.system, config.drive, config.pump,
                                    doppler=_doppler_or_none(config))
-    spectrum = scan_evaluator(evaluator, _scan_grid(config), threads=threads)
+    spectrum = scan_evaluator(evaluator, _scan_grid(config))
     scale = _scale_of(config)
 
     files = [tables.write_spectrum_csv(out / f"{name}_spectrum.csv", spectrum)]
     peaks = find_imag_peaks(spectrum)
     strongest = sorted(
         peaks, key=lambda p: -spectrum.chi.imag[np.searchsorted(spectrum.grid, p)])[:2]
-    result = _group_index_numbers(evaluator, config.drive.delta, scale)
+    chi0 = evaluator(0.0)
+    result = group_index(chi0, dispersion_slope(evaluator, 0.0, config.drive.delta / 200.0),
+                         scale)
     headline = {
-        "center_re_chi_scaled": evaluator(0.0).real,
-        "center_im_chi_scaled": evaluator(0.0).imag,
+        "center_re_chi_scaled": chi0.real,
+        "center_im_chi_scaled": chi0.imag,
         "center_slope_scaled": result.dre_chi_domega * scale.gamma3 ** 2 / scale.k,
         "group_index_center": result.n_g,
         "imag_peak_count": float(len(peaks)),
@@ -129,106 +156,95 @@ def _run_spectrum_scenario(config: ScenarioConfig, out: Path,
     for i, p in enumerate(sorted(strongest)):
         headline[f"imag_peak_{i}_gamma3"] = p
     if svg:
-        doc = svgplot.render_line_chart(
+        files.append(_write_svg(
+            out / f"{name}_spectrum.svg",
             [("Re chi", spectrum.grid, spectrum.chi.real),
              ("Im chi", spectrum.grid, spectrum.chi.imag)],
             title=f"{name}: scaled susceptibility",
-            x_label="two-photon detuning (Gamma3)", y_label="chi (scaled)")
-        files.append(tables.atomic_write_text(out / f"{name}_spectrum.svg", doc))
+            x_label="two-photon detuning (Gamma3)", y_label="chi (scaled)"))
     return files, headline
 
 
-def _run_fig4(config: ScenarioConfig, out: Path, svg: bool,
-              threads: int) -> tuple[list, dict]:
-    scale = _scale_of(config)
-    files = []
-    headline = {}
-    pulse_curves = []
-
-    ev_off = make_chi_evaluator(config.system, config.drive, PumpModel.direct(0.0))
-    ev_on = make_chi_evaluator(config.system, config.drive, PumpModel.direct(0.4))
-
-    for tag, evaluator in (("pump_off", ev_off), ("pump_on", ev_on)):
-        spectrum, pulse, reference, out_pulse = _propagation_run(
-            config, evaluator, scale, threads)
-        result = _group_index_numbers(evaluator, config.drive.delta, scale)
-        summary = pulses.metrics(pulse, out_pulse, reference,
-                                 (result.n_g - 1.0) * scale.length / const.c)
-        files.append(tables.write_spectrum_csv(
-            out / f"fig4_spectrum_{tag}.csv", spectrum))
-        label = "slow" if tag == "pump_off" else "fast"
-        files.append(tables.write_pulse_csv(out / f"fig4_pulse_{label}.csv", out_pulse))
-        pulse_curves.append((label, pulse.times, out_pulse.intensity()))
-        headline[f"group_index_{tag}"] = result.n_g
-        headline[f"peak_delay_s_{tag}"] = summary.peak_delay
-        headline[f"predicted_group_delay_s_{tag}"] = summary.predicted_group_delay
-        headline[f"stretch_{tag}"] = summary.stretch
-        headline[f"transmission_{tag}"] = summary.transmission
-        if tag == "pump_off":
-            window_spec = scan_evaluator(
-                evaluator, np.linspace(-0.4, 0.4, 1201), threads=threads)
-            headline["transmission_window_rad_per_s"] = \
-                transmission_window_fwhm(window_spec, scale)
-            files.append(tables.write_pulse_csv(
-                out / "fig4_pulse_reference.csv", reference))
-            pulse_curves.append(("reference", reference.times,
-                                 reference.intensity()))
-
-    if svg:
-        order = [pulse_curves[0], pulse_curves[2], pulse_curves[1]]
-        doc = svgplot.render_line_chart(
-            [(label, t * 1e6, inten / inten.max()) for label, t, inten in order],
-            title="fig4: pulse propagation", x_label="time (us)",
-            y_label="normalised intensity")
-        files.append(tables.atomic_write_text(out / "fig4_pulses.svg", doc))
-    return files, headline
-
-
-def _run_fig5(config: ScenarioConfig, out: Path, svg: bool,
-              threads: int) -> tuple[list, dict]:
-    scale = _scale_of(config)
+def _run_fig4(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]:
     files = []
     headline = {}
     curves = []
-    reference_pulse = None
+    for tag, label, rate in (("pump_off", "slow", 0.0), ("pump_on", "fast", 0.4)):
+        evaluator = make_chi_evaluator(config.system, config.drive,
+                                       PumpModel.direct(rate))
+        spectrum, _, reference, output, numbers = _pulse_case(
+            config, evaluator, config.drive.delta / 200.0)
+        files.append(tables.write_spectrum_csv(
+            out / f"fig4_spectrum_{tag}.csv", spectrum))
+        files.append(tables.write_pulse_csv(out / f"fig4_pulse_{label}.csv", output))
+        curves.append((label, output))
+        for key, value in numbers.items():
+            headline[f"{key}_{tag}"] = value
+        if tag == "pump_off":
+            window_spec = scan_evaluator(evaluator, np.linspace(-0.4, 0.4, 1201))
+            headline["transmission_window_rad_per_s"] = \
+                transmission_window_fwhm(window_spec, _scale_of(config))
+    files.append(tables.write_pulse_csv(out / "fig4_pulse_reference.csv", reference))
+    curves.append(("reference", reference))
 
+    if svg:
+        files.append(_write_svg(
+            out / "fig4_pulses.svg", _normalised_pulses(curves),
+            title="fig4: pulse propagation", x_label="time (us)",
+            y_label="normalised intensity"))
+    return files, headline
+
+
+def _run_fig5(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]:
+    files = []
+    headline = {}
+    curves = []
+    raman_step = config.drive.delta / 200.0
     cases = [
         ("eit_0p5", make_eit_evaluator(_eit_config(config, 0.5)), 0.001),
         ("eit_1p0", make_eit_evaluator(_eit_config(config, 1.0)), 0.001),
         ("two_coupling_r0", make_chi_evaluator(
-            config.system, config.drive, PumpModel.direct(0.0)),
-            config.drive.delta / 200.0),
+            config.system, config.drive, PumpModel.direct(0.0)), raman_step),
         ("two_coupling_r0p17", make_chi_evaluator(
-            config.system, config.drive, PumpModel.direct(0.17)),
-            config.drive.delta / 200.0),
+            config.system, config.drive, PumpModel.direct(0.17)), raman_step),
     ]
     for tag, evaluator, step in cases:
-        spectrum, pulse, reference, out_pulse = _propagation_run(
-            config, evaluator, scale, threads)
-        chi0 = evaluator(0.0)
-        slope = dispersion_slope(evaluator, 0.0, step)
-        result = group_index(chi0, slope, scale)
-        summary = pulses.metrics(pulse, out_pulse, reference,
-                                 (result.n_g - 1.0) * scale.length / const.c)
-        files.append(tables.write_pulse_csv(out / f"fig5_pulse_{tag}.csv", out_pulse))
-        curves.append((tag, pulse.times, out_pulse.intensity()))
-        headline[f"group_index_{tag}"] = result.n_g
-        headline[f"peak_delay_s_{tag}"] = summary.peak_delay
-        headline[f"stretch_{tag}"] = summary.stretch
-        if reference_pulse is None:
-            reference_pulse = reference
-            files.append(tables.write_pulse_csv(
-                out / "fig5_pulse_reference.csv", reference))
+        _, _, reference, output, numbers = _pulse_case(config, evaluator, step)
+        files.append(tables.write_pulse_csv(out / f"fig5_pulse_{tag}.csv", output))
+        curves.append((tag, output))
+        for key in ("group_index", "peak_delay_s", "stretch"):
+            headline[f"{key}_{tag}"] = numbers[key]
+    files.append(tables.write_pulse_csv(out / "fig5_pulse_reference.csv", reference))
+    curves.append(("reference", reference))
 
     if svg:
-        series = [(tag, t * 1e6, i / i.max()) for tag, t, i in curves]
-        series.append(("reference", reference_pulse.times * 1e6,
-                       reference_pulse.intensity() / reference_pulse.intensity().max()))
-        doc = svgplot.render_line_chart(
-            series, title="fig5: EIT vs two-coupling slow light",
-            x_label="time (us)", y_label="normalised intensity")
-        files.append(tables.atomic_write_text(out / "fig5_pulses.svg", doc))
+        files.append(_write_svg(
+            out / "fig5_pulses.svg", _normalised_pulses(curves),
+            title="fig5: EIT vs two-coupling slow light",
+            x_label="time (us)", y_label="normalised intensity"))
     return files, headline
+
+
+def _run_pulse_command(config: ScenarioConfig, out: Path,
+                       svg: bool) -> tuple[list, dict]:
+    evaluator = make_chi_evaluator(config.system, config.drive, config.pump,
+                                   doppler=_doppler_or_none(config))
+    spectrum, pulse, reference, output, numbers = _pulse_case(
+        config, evaluator, config.drive.delta / 200.0)
+    files = [
+        tables.write_spectrum_csv(out / "pulse_spectrum.csv", spectrum),
+        tables.write_pulse_csv(out / "pulse_input.csv", pulse),
+        tables.write_pulse_csv(out / "pulse_output.csv", output),
+        tables.write_pulse_csv(out / "pulse_reference.csv", reference),
+    ]
+    if svg:
+        files.append(_write_svg(
+            out / "pulse.svg",
+            [("input", pulse.times * 1e6, pulse.intensity()),
+             ("output", output.times * 1e6, output.intensity()),
+             ("reference", reference.times * 1e6, reference.intensity())],
+            title="pulse propagation", x_label="time (us)", y_label="intensity"))
+    return files, numbers
 
 
 def _zero_crossing(rates: np.ndarray, values: np.ndarray) -> float:
@@ -242,90 +258,40 @@ def _zero_crossing(rates: np.ndarray, values: np.ndarray) -> float:
     return float(x0 - y0 * (x1 - x0) / (y1 - y0))
 
 
-def _run_fig6(config: ScenarioConfig, out: Path, svg: bool,
-              threads: int) -> tuple[list, dict]:
+def _run_sweep(config: ScenarioConfig, out: Path, svg: bool,
+               stem: str = "sweep", title: str = "group index vs pump rate",
+               stationary: bool = False) -> tuple[list, dict]:
+    """Group index against pump rate, Doppler-averaged when enabled.
+
+    ``stationary`` sets the stationary curve beside the Doppler-averaged one.
+    """
     scale = _scale_of(config)
     rates = np.linspace(0.0, 0.5, 15)
-    bound = config.pump.gamma52  # pump-rate bound for a single pumping level
+    doppler = _doppler_or_none(config)
+    if not stationary:
+        curves = [("n_g", "", doppler)]
+    else:
+        curves = [("no Doppler", "_stationary", None)]
+        if doppler is not None:
+            curves.append((f"Doppler {doppler.temperature:g} K", "_doppler", doppler))
+    n_g = [spectra.pump_sweep(config.system, config.drive, rates, scale,
+                              doppler=curve_doppler)[:, 1]
+           for _, _, curve_doppler in curves]
 
-    table = spectra.pump_sweep(config.system, config.drive, rates, scale)
-    ng_stationary = table[:, 1]
-    table_dop = spectra.pump_sweep(config.system, config.drive, rates, scale,
-                                   doppler=config.doppler)
-    ng_doppler = table_dop[:, 1]
-
-    files = [tables.write_sweep_csv(out / "fig6_sweep.csv", rates,
-                                    ng_stationary, ng_doppler)]
-    headline = {
-        "pump_rate_bound_gamma3": bound,
-        "zero_crossing_stationary_gamma3": _zero_crossing(rates, ng_stationary),
-        "zero_crossing_doppler_gamma3": _zero_crossing(rates, ng_doppler),
-        "group_index_stationary_r0": ng_stationary[0],
-        "group_index_doppler_r0": ng_doppler[0],
-    }
+    files = [tables.write_sweep_csv(out / f"{stem}.csv", rates, *n_g)]
+    crossings, at_r0 = {}, {}
+    for (_, suffix, _), values in zip(curves, n_g):
+        crossings[f"zero_crossing{suffix}_gamma3"] = _zero_crossing(rates, values)
+        at_r0[f"group_index{suffix}_r0"] = values[0]
+    bound = {"pump_rate_bound_gamma3": config.pump.gamma52}
+    headline = ({**bound, **crossings, **at_r0} if stationary
+                else {**crossings, **at_r0, **bound})
     if svg:
-        doc = svgplot.render_line_chart(
-            [("no Doppler", rates, ng_stationary),
-             ("Doppler 320 K", rates, ng_doppler)],
-            title="fig6: group index vs pump rate",
-            x_label="pump rate (Gamma3)", y_label="group index",
-            vmarkers=[(bound, "pump-rate bound")])
-        files.append(tables.atomic_write_text(out / "fig6_sweep.svg", doc))
-    return files, headline
-
-
-def _run_pulse_command(config: ScenarioConfig, out: Path, svg: bool,
-                       threads: int) -> tuple[list, dict]:
-    scale = _scale_of(config)
-    evaluator = make_chi_evaluator(config.system, config.drive, config.pump,
-                                   doppler=_doppler_or_none(config))
-    spectrum, pulse, reference, out_pulse = _propagation_run(
-        config, evaluator, scale, threads)
-    result = _group_index_numbers(evaluator, config.drive.delta, scale)
-    summary = pulses.metrics(pulse, out_pulse, reference,
-                             (result.n_g - 1.0) * scale.length / const.c)
-    files = [
-        tables.write_spectrum_csv(out / "pulse_spectrum.csv", spectrum),
-        tables.write_pulse_csv(out / "pulse_input.csv", pulse),
-        tables.write_pulse_csv(out / "pulse_output.csv", out_pulse),
-        tables.write_pulse_csv(out / "pulse_reference.csv", reference),
-    ]
-    headline = {
-        "group_index": result.n_g,
-        "peak_delay_s": summary.peak_delay,
-        "predicted_group_delay_s": summary.predicted_group_delay,
-        "stretch": summary.stretch,
-        "transmission": summary.transmission,
-    }
-    if svg:
-        doc = svgplot.render_line_chart(
-            [("input", pulse.times * 1e6, pulse.intensity()),
-             ("output", out_pulse.times * 1e6, out_pulse.intensity()),
-             ("reference", reference.times * 1e6, reference.intensity())],
-            title="pulse propagation", x_label="time (us)", y_label="intensity")
-        files.append(tables.atomic_write_text(out / "pulse.svg", doc))
-    return files, headline
-
-
-def _run_sweep_command(config: ScenarioConfig, out: Path, svg: bool,
-                       threads: int) -> tuple[list, dict]:
-    scale = _scale_of(config)
-    rates = np.linspace(0.0, 0.5, 15)
-    table = spectra.pump_sweep(config.system, config.drive, rates, scale,
-                               doppler=_doppler_or_none(config))
-    files = [tables.write_sweep_csv(out / "sweep.csv", table[:, 0], table[:, 1])]
-    headline = {
-        "zero_crossing_gamma3": _zero_crossing(table[:, 0], table[:, 1]),
-        "group_index_r0": table[0, 1],
-        "pump_rate_bound_gamma3": config.pump.gamma52,
-    }
-    if svg:
-        doc = svgplot.render_line_chart(
-            [("n_g", table[:, 0], table[:, 1])],
-            title="group index vs pump rate",
-            x_label="pump rate (Gamma3)", y_label="group index",
-            vmarkers=[(config.pump.gamma52, "pump-rate bound")])
-        files.append(tables.atomic_write_text(out / "sweep.svg", doc))
+        files.append(_write_svg(
+            out / f"{stem}.svg",
+            [(label, rates, values) for (label, _, _), values in zip(curves, n_g)],
+            title=title, x_label="pump rate (Gamma3)", y_label="group index",
+            vmarkers=[(config.pump.gamma52, "pump-rate bound")]))
     return files, headline
 
 
@@ -336,18 +302,17 @@ _RUNNERS = {
     "fig3c": _run_spectrum_scenario,
     "fig4": _run_fig4,
     "fig5": _run_fig5,
-    "fig6": _run_fig6,
+    "fig6": partial(_run_sweep, stem="fig6_sweep",
+                    title="fig6: group index vs pump rate", stationary=True),
     "scan": _run_spectrum_scenario,
     "pulse": _run_pulse_command,
-    "sweep": _run_sweep_command,
+    "sweep": _run_sweep,
 }
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path,
-                 svg: bool = False, threads: int = 1) -> RunReport:
+                 svg: bool = False) -> RunReport:
     """Execute one scenario and emit its files plus the metrics CSV."""
-    if config.scenario is None:
-        raise PresetError("scenario name not set")
     if config.scenario not in _RUNNERS:
         raise PresetError(
             f"unknown scenario {config.scenario!r}; available: "
@@ -355,10 +320,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    files, headline = _RUNNERS[config.scenario](config, out, svg, threads)
-    metrics_path = tables.write_metrics_csv(
-        out / f"{config.scenario}_metrics.csv", headline)
-    files.append(metrics_path)
+    files, headline = _RUNNERS[config.scenario](config, out, svg)
+    files.append(tables.write_metrics_csv(
+        out / f"{config.scenario}_metrics.csv", headline))
     return RunReport(scenario=config.scenario, parameters=_flatten(config),
                      files=[str(f) for f in files], headline=headline,
                      wall_time=time.perf_counter() - start)
@@ -381,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: ./out)")
         p.add_argument("--svg", action="store_true",
                        help="also render SVG charts")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid scans")
 
     common(sub.add_parser("scan", help="susceptibility spectrum over detuning"))
     common(sub.add_parser("pulse", help="Gaussian pulse through the medium"))
@@ -394,14 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ScenarioConfig:
-    overrides = load_config(args.config) if args.config else None
     if args.command == "scenario":
-        config = preset(args.name)
-        if overrides is not None:
-            config = dataclasses.replace(overrides, scenario=args.name)
-        return config
-    config = overrides if overrides is not None else ScenarioConfig()
-    return dataclasses.replace(config, scenario=args.command)
+        base = preset(args.name)
+    else:
+        base = ScenarioConfig(scenario=args.command)
+    return load_config(args.config, base) if args.config else base
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -411,8 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _resolve_config(args)
         for warning in validate_system(config.system, config.drive, config.pump):
             print(f"warning: {warning}", file=sys.stderr)
-        report = run_scenario(config, args.out, svg=args.svg,
-                              threads=args.threads)
+        report = run_scenario(config, args.out, svg=args.svg)
     except Exception as exc:  # CLI boundary: one machine-readable line
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

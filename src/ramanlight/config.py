@@ -3,9 +3,10 @@
 Grammar: ``key = value`` lines grouped under ``[section]`` headers, ``#``
 starts a comment anywhere. Every physical key carries its unit as a name
 suffix (``omega_c_gamma3``, ``length_m``); keys without their suffix and
-unknown keys are hard errors with the offending line number. An empty file
-reproduces the slow-light pulse operating point (the defaults of every
-section).
+unknown keys are hard errors with the offending line number. A file is
+overlaid on a base config key by key: what it leaves out keeps the base's
+value. With the default base an empty file reproduces the slow-light pulse
+operating point (the defaults of every section).
 """
 
 from __future__ import annotations
@@ -64,14 +65,10 @@ class ScenarioConfig:
     doppler_enabled: bool = False
     pulse: PulseSettings = field(default_factory=PulseSettings)
     grid: GridSettings = field(default_factory=GridSettings)
-    svg: bool = False
     scenario: str | None = None
 
 
 _UNIT_SUFFIXES = ("_gamma3", "_rad_per_s", "_per_m3", "_kg", "_m", "_s", "_k")
-
-# (section, key) -> (target field, parser); key names carry explicit units.
-_FLOAT = float
 
 
 def _parse_bool(text: str) -> bool:
@@ -81,11 +78,6 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "no", "off", "0"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_int(text: str) -> int:
-    value = int(text)
-    return value
 
 
 def _parse_signs(text: str) -> tuple[int, int, int, int]:
@@ -107,58 +99,56 @@ def _parse_pump_mode(text: str) -> str:
     return normalized
 
 
+# section -> key -> (target field, parser); key names carry explicit units.
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "system": {
-        "gamma31_gamma3": ("gamma31", _FLOAT),
-        "gamma32_gamma3": ("gamma32", _FLOAT),
-        "gamma41_gamma3": ("gamma41", _FLOAT),
-        "gamma42_gamma3": ("gamma42", _FLOAT),
-        "gamma2_deph_gamma3": ("gamma2_deph", _FLOAT),
-        "gamma3_deph_gamma3": ("gamma3_deph", _FLOAT),
-        "gamma4_deph_gamma3": ("gamma4_deph", _FLOAT),
-        "omega43_gamma3": ("omega43", _FLOAT),
+        "gamma31_gamma3": ("gamma31", float),
+        "gamma32_gamma3": ("gamma32", float),
+        "gamma41_gamma3": ("gamma41", float),
+        "gamma42_gamma3": ("gamma42", float),
+        "gamma2_deph_gamma3": ("gamma2_deph", float),
+        "gamma3_deph_gamma3": ("gamma3_deph", float),
+        "gamma4_deph_gamma3": ("gamma4_deph", float),
+        "omega43_gamma3": ("omega43", float),
         "dipole_signs": ("dipole_signs", _parse_signs),
     },
     "drive": {
-        "omega_c_gamma3": ("omega_c", _FLOAT),
-        "omega_p_gamma3": ("omega_p", _FLOAT),
-        "delta_gamma3": ("delta", _FLOAT),
-        "delta_c_gamma3": ("delta_c", _FLOAT),
-        "delta_p_gamma3": ("delta_p", _FLOAT),
+        "omega_c_gamma3": ("omega_c", float),
+        "omega_p_gamma3": ("omega_p", float),
+        "delta_gamma3": ("delta", float),
+        "delta_c_gamma3": ("delta_c", float),
+        "delta_p_gamma3": ("delta_p", float),
     },
     "pump": {
         "mode": ("mode", _parse_pump_mode),
-        "pump_rate_gamma3": ("pump_rate", _FLOAT),
-        "omega_op_gamma3": ("omega_op", _FLOAT),
-        "delta_op_gamma3": ("delta_op", _FLOAT),
-        "gamma51_gamma3": ("gamma51", _FLOAT),
-        "gamma52_gamma3": ("gamma52", _FLOAT),
-        "gamma5_deph_gamma3": ("gamma5_deph", _FLOAT),
+        "pump_rate_gamma3": ("pump_rate", float),
+        "omega_op_gamma3": ("omega_op", float),
+        "delta_op_gamma3": ("delta_op", float),
+        "gamma51_gamma3": ("gamma51", float),
+        "gamma52_gamma3": ("gamma52", float),
+        "gamma5_deph_gamma3": ("gamma5_deph", float),
         "lindblad_form": ("lindblad_form", _parse_bool),
     },
     "scale": {
-        "density_per_m3": ("density", _FLOAT),
-        "length_m": ("length", _FLOAT),
-        "wavelength_m": ("wavelength", _FLOAT),
-        "gamma3_rad_per_s": ("gamma3", _FLOAT),
+        "density_per_m3": ("density", float),
+        "length_m": ("length", float),
+        "wavelength_m": ("wavelength", float),
+        "gamma3_rad_per_s": ("gamma3", float),
     },
     "doppler": {
-        "enabled": (None, _parse_bool),
-        "temperature_k": ("temperature", _FLOAT),
-        "mass_kg": ("mass", _FLOAT),
-        "nodes": ("nodes", _parse_int),
+        "enabled": ("enabled", _parse_bool),   # ScenarioConfig.doppler_enabled
+        "temperature_k": ("temperature", float),
+        "mass_kg": ("mass", float),
+        "nodes": ("nodes", int),
     },
     "pulse": {
-        "sigma_s": ("sigma", _FLOAT),
-        "window_s": ("window", _FLOAT),
-        "samples": ("samples", _parse_int),
+        "sigma_s": ("sigma", float),
+        "window_s": ("window", float),
+        "samples": ("samples", int),
     },
     "grid": {
-        "points": ("points", _parse_int),
-        "half_width_gamma3": ("half_width", _FLOAT),
-    },
-    "output": {
-        "svg": (None, _parse_bool),
+        "points": ("points", int),
+        "half_width_gamma3": ("half_width", float),
     },
 }
 
@@ -181,10 +171,13 @@ def _diagnose_key(section: str, key: str, line: int) -> ConfigError:
     return ConfigError(line, f"unknown key '{key}' in section [{section}]")
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse configuration text into a ScenarioConfig (defaults for gaps)."""
+def parse_config(text: str,
+                 base: ScenarioConfig = ScenarioConfig()) -> ScenarioConfig:
+    """Overlay the keys the configuration text sets onto ``base``.
+
+    The Doppler shift scale follows the resulting [scale] line data.
+    """
     values: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
-    flags = {"doppler_enabled": False, "svg": False}
     section: str | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -214,34 +207,22 @@ def parse_config(text: str) -> ScenarioConfig:
             parsed = parser(value_text)
         except ValueError as exc:
             raise ConfigError(line_no, f"bad value for '{key}': {exc}") from exc
-        if target is None:
-            if section == "doppler":
-                flags["doppler_enabled"] = parsed
-            else:
-                flags["svg"] = parsed
-        else:
-            values[section][target] = parsed
+        values[section][target] = parsed
 
-    config = ScenarioConfig(
-        system=AtomicSystem(**values["system"]),
-        drive=DriveConfig(**values["drive"]),
-        pump=PumpModel(**values["pump"]),
-        scale=ScaleSettings(**values["scale"]),
-        pulse=PulseSettings(**values["pulse"]),
-        grid=GridSettings(**values["grid"]),
-        doppler_enabled=flags["doppler_enabled"],
-        svg=flags["svg"],
-    )
-    doppler_kwargs = dict(values["doppler"])
-    doppler_kwargs["gamma3"] = config.scale.gamma3
-    doppler_kwargs.setdefault("wavevector",
-                              2.0 * math.pi / config.scale.wavelength)
-    return replace(config, doppler=DopplerConfig(**doppler_kwargs))
+    doppler_enabled = values["doppler"].pop("enabled", base.doppler_enabled)
+    groups = {name: replace(getattr(base, name), **values[name])
+              for name in ("system", "drive", "pump", "scale", "pulse", "grid")}
+    scale = groups["scale"]
+    doppler = replace(base.doppler, **values["doppler"], gamma3=scale.gamma3,
+                      wavevector=2.0 * math.pi / scale.wavelength)
+    return replace(base, **groups, doppler=doppler,
+                   doppler_enabled=doppler_enabled)
 
 
-def load_config(path) -> ScenarioConfig:
+def load_config(path, base: ScenarioConfig = ScenarioConfig()) -> ScenarioConfig:
+    """Overlay the configuration file at ``path`` onto ``base``."""
     with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        return parse_config(handle.read(), base)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +258,3 @@ def preset(name: str) -> ScenarioConfig:
             f"unknown scenario {name!r}; available: "
             + ", ".join(sorted(PRESET_BUILDERS))) from None
     return builder()
-
-
-def apply_overrides(config: ScenarioConfig,
-                    overrides: ScenarioConfig | None) -> ScenarioConfig:
-    """Overlay a parsed config file onto a preset (file wins)."""
-    if overrides is None:
-        return config
-    return replace(overrides, scenario=config.scenario)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,6 +27,7 @@ from .floquet import (MAX_ORDER, ConvergenceError, FloquetDensity,
 GAMMA3_RB87_D1 = 2.0 * math.pi * 5.75e6      # rad/s, natural linewidth of the line
 WAVELENGTH_RB87_D1 = 794.98e-9               # m
 MASS_RB87 = 86.909180531 * const.atomic_mass  # kg
+HERMITE_MAX_NODES = 370   # numpy's hermgauss weights underflow or overflow above
 
 
 class BranchCutError(ValueError):
@@ -127,8 +127,9 @@ class DopplerConfig:
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if self.nodes < 8:
-            raise ValueError("need at least 8 quadrature nodes")
+        if not 8 <= self.nodes <= HERMITE_MAX_NODES:
+            raise ValueError(
+                f"need between 8 and {HERMITE_MAX_NODES} quadrature nodes")
         if self.geometry != "co-propagating":
             raise ValueError(f"unsupported geometry {self.geometry!r}")
 
@@ -281,12 +282,10 @@ def susceptibility(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
 
 def scan(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
          grid: np.ndarray, doppler: DopplerConfig | None = None,
-         order: int | None = None, threads: int = 1) -> SusceptibilitySpectrum:
+         order: int | None = None) -> SusceptibilitySpectrum:
     """Pointwise susceptibility over a two-photon-detuning grid.
 
-    Points are independent; with ``threads`` > 1 they are evaluated
-    concurrently and reassembled in grid order. Any failing point aborts
-    the scan with the offending detunings attached.
+    Any failing point aborts the scan with the offending detunings attached.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -297,12 +296,11 @@ def scan(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
         "delta_c": drive.delta_c, "pump_rate": pump.rate(),
         "doppler_temperature": doppler.temperature if doppler else None,
     }
-    return scan_evaluator(evaluator, grid, metadata=metadata, threads=threads)
+    return scan_evaluator(evaluator, grid, metadata=metadata)
 
 
 def scan_evaluator(evaluator: Callable[[float], complex], grid: np.ndarray,
-                   metadata: dict | None = None,
-                   threads: int = 1) -> SusceptibilitySpectrum:
+                   metadata: dict | None = None) -> SusceptibilitySpectrum:
     """Scan an arbitrary chi(two-photon-detuning) evaluator over a grid."""
     grid = np.asarray(grid, dtype=float)
 
@@ -312,12 +310,7 @@ def scan_evaluator(evaluator: Callable[[float], complex], grid: np.ndarray,
         except Exception as exc:  # collected and re-raised with the grid point
             return None, exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(safe, grid))
-    else:
-        results = [safe(d2) for d2 in grid]
-
+    results = [safe(d2) for d2 in grid]
     failures = [(float(d2), exc) for d2, (_, exc) in zip(grid, results) if exc]
     if failures:
         raise ScanError(failures)
@@ -400,8 +393,14 @@ def doppler_average(evaluate_at_shift: Callable[[float], complex],
     ``evaluate_at_shift`` receives the shared one-photon shift in gamma3
     units (the two-photon detuning is velocity independent in the
     co-propagating geometry). With ``check_convergence`` the quadrature is
-    repeated with half again as many nodes and must agree to 1e-3 relative.
+    repeated with half again as many nodes and must agree to 1e-3 relative;
+    a refined rule beyond HERMITE_MAX_NODES fails with QuadratureError.
     """
+    refined_nodes = round(1.5 * config.nodes)
+    if check_convergence and refined_nodes > HERMITE_MAX_NODES:
+        raise QuadratureError(f"refined rule needs {refined_nodes} nodes, "
+                              f"more than {HERMITE_MAX_NODES}")
+
     def quadrature(nodes: int) -> complex:
         x, w = np.polynomial.hermite.hermgauss(nodes)
         shifts = math.sqrt(2.0) * config.shift_sigma * x
@@ -412,11 +411,11 @@ def doppler_average(evaluate_at_shift: Callable[[float], complex],
 
     value = quadrature(config.nodes)
     if check_convergence:
-        refined = quadrature(round(1.5 * config.nodes))
+        refined = quadrature(refined_nodes)
         if abs(refined - value) > 1e-3 * max(abs(refined), 1e-300):
             raise QuadratureError(
                 f"velocity average changed by {abs(refined - value):.3e} "
-                f"({config.nodes} -> {round(1.5 * config.nodes)} nodes)")
+                f"({config.nodes} -> {refined_nodes} nodes)")
         return refined
     return value
 
@@ -471,13 +470,14 @@ def make_eit_evaluator(config: ThreeLevelConfig) -> Callable[[float], complex]:
 # ---------------------------------------------------------------------------
 # spectrum metrics
 
+def _strict_maxima(y: np.ndarray) -> np.ndarray:
+    """Indices of the strict interior local maxima of ``y``."""
+    return np.nonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:]))[0] + 1
+
+
 def find_imag_peaks(spectrum: SusceptibilitySpectrum) -> np.ndarray:
     """Grid positions of the strict local maxima of Im(chi_s)."""
-    y = spectrum.chi.imag
-    if y.size < 3:
-        return np.array([])
-    interior = (y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])
-    return spectrum.grid[1:-1][interior]
+    return spectrum.grid[_strict_maxima(spectrum.chi.imag)]
 
 
 def transmission_window_fwhm(spectrum: SusceptibilitySpectrum,
@@ -490,7 +490,7 @@ def transmission_window_fwhm(spectrum: SusceptibilitySpectrum,
     """
     y = spectrum.chi.imag
     grid = spectrum.grid
-    peaks = [i for i in range(1, y.size - 1) if y[i] > y[i - 1] and y[i] > y[i + 1]]
+    peaks = _strict_maxima(y)
     left_peaks = [i for i in peaks if grid[i] < 0]
     right_peaks = [i for i in peaks if grid[i] > 0]
     if not left_peaks or not right_peaks:

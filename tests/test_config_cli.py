@@ -91,6 +91,20 @@ class TestParseConfig:
         assert config.doppler.temperature == 320.0
         assert config.doppler.nodes == 32
 
+    def test_output_section_rejected_with_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[drive]\n\n[output]\nsvg = true\n")
+        assert err.value.line == 3
+
+    def test_overlays_base_key_by_key(self):
+        config = parse_config("[grid]\npoints = 41\n", preset("fig2a"))
+        assert config.scenario == "fig2a"
+        assert config.drive.omega_c == 20.0
+        assert config.drive.delta == 0.1
+        assert config.grid.points == 41
+        assert config.grid.half_width is None
+        assert parse_config("", preset("fig6")) == preset("fig6")
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[drive]\nomega_c_gamma3 = fast\n")
@@ -186,6 +200,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "UnitMismatchError"
 
+    def test_scenario_config_overlays_preset(self, tmp_path):
+        config_path = tmp_path / "grid.cfg"
+        config_path.write_text("[grid]\npoints = 41\n")
+        out = tmp_path / "out"
+        assert main(["scenario", "fig2a", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        _, (grid, _, _) = tables.read_table(out / "fig2a_spectrum.csv")
+        # 41 points spanning 5 delta of fig2a's delta = 0.1
+        assert grid.size == 41
+        assert grid[-1] == 0.5
+
     def test_sweep_command(self, tmp_path):
         config_path = tmp_path / "sweep.cfg"
         config_path.write_text("")
@@ -210,3 +235,17 @@ class TestFig4Scenario:
         names = {p.rsplit("/", 1)[-1] for p in report.files}
         assert {"fig4_pulse_slow.csv", "fig4_pulse_fast.csv",
                 "fig4_pulse_reference.csv"} <= names
+
+
+class TestFig6Scenario:
+    def test_doppler_disabled_writes_stationary_column_only(self, tmp_path):
+        config_path = tmp_path / "no_doppler.cfg"
+        config_path.write_text("[doppler]\nenabled = false\n")
+        assert main(["scenario", "fig6", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 0
+        header, _ = tables.read_table(tmp_path / "fig6_sweep.csv")
+        assert header == ["pump_rate_Gamma3", "group_index"]
+        stored = tables.read_metrics_csv(tmp_path / "fig6_metrics.csv")
+        assert list(stored) == ["pump_rate_bound_gamma3",
+                                "zero_crossing_stationary_gamma3",
+                                "group_index_stationary_r0"]
