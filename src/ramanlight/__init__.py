@@ -13,14 +13,14 @@ from .atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                    build_liouvillian, pump_rate_from_field, validate_system)
 from .floquet import (ConvergenceError, FloquetDensity, SolverError, TimeTrace,
                       choose_truncation, extract_dc_coherences,
-                      integrate_to_period_average, solve_floquet,
-                      steady_state_static)
+                      integrate_to_period_average, solve_converged,
+                      solve_floquet, steady_state_static)
 from .spectra import (BranchCutError, DopplerConfig, GroupIndexResult,
                       PhysicalScale, SusceptibilitySpectrum, ThreeLevelConfig,
                       dispersion_slope, doppler_average, eit_susceptibility,
                       find_imag_peaks, group_index, group_index_at,
                       make_chi_evaluator, make_eit_evaluator, physical_scale,
-                      pump_sweep, scan, scan_evaluator, susceptibility,
+                      pump_sweep, scan_evaluator, susceptibility,
                       transmission_window_fwhm)
 from .pulses import (BandwidthError, NoPeakError, PropagationMetrics, Pulse,
                      WindowError, metrics, propagate, synthesize_gaussian,

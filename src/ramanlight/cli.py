@@ -80,6 +80,12 @@ def _doppler_or_none(config: ScenarioConfig) -> DopplerConfig | None:
     return config.doppler if config.doppler_enabled else None
 
 
+def _raman_evaluator(config: ScenarioConfig, pump: PumpModel):
+    """The four-level medium's chi evaluator, Doppler-averaged when enabled."""
+    return make_chi_evaluator(config.system, config.drive, pump,
+                              doppler=_doppler_or_none(config))
+
+
 def _eit_config(config: ScenarioConfig, omega_c: float) -> ThreeLevelConfig:
     system = config.system
     return ThreeLevelConfig(omega_c=omega_c, omega_p=config.drive.omega_p,
@@ -134,8 +140,7 @@ def _pulse_case(config: ScenarioConfig, evaluator, step: float):
 def _run_spectrum_scenario(config: ScenarioConfig, out: Path,
                            svg: bool) -> tuple[list, dict]:
     name = config.scenario
-    evaluator = make_chi_evaluator(config.system, config.drive, config.pump,
-                                   doppler=_doppler_or_none(config))
+    evaluator = _raman_evaluator(config, config.pump)
     spectrum = scan_evaluator(evaluator, _scan_grid(config))
     scale = _scale_of(config)
 
@@ -169,9 +174,9 @@ def _run_fig4(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
     files = []
     headline = {}
     curves = []
-    for tag, label, rate in (("pump_off", "slow", 0.0), ("pump_on", "fast", 0.4)):
-        evaluator = make_chi_evaluator(config.system, config.drive,
-                                       PumpModel.direct(rate))
+    for tag, label, pump in (("pump_off", "slow", PumpModel.direct(0.0)),
+                             ("pump_on", "fast", config.pump)):
+        evaluator = _raman_evaluator(config, pump)
         spectrum, _, reference, output, numbers = _pulse_case(
             config, evaluator, config.drive.delta / 200.0)
         files.append(tables.write_spectrum_csv(
@@ -199,15 +204,14 @@ def _run_fig5(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
     files = []
     headline = {}
     curves = []
-    raman_step = config.drive.delta / 200.0
     cases = [
         ("eit_0p5", make_eit_evaluator(_eit_config(config, 0.5)), 0.001),
         ("eit_1p0", make_eit_evaluator(_eit_config(config, 1.0)), 0.001),
-        ("two_coupling_r0", make_chi_evaluator(
-            config.system, config.drive, PumpModel.direct(0.0)), raman_step),
-        ("two_coupling_r0p17", make_chi_evaluator(
-            config.system, config.drive, PumpModel.direct(0.17)), raman_step),
     ]
+    raman = {f"two_coupling_r{pump.rate():g}".replace(".", "p"): pump
+             for pump in (PumpModel.direct(0.0), config.pump)}  # one per rate
+    cases += [(tag, _raman_evaluator(config, pump), config.drive.delta / 200.0)
+              for tag, pump in raman.items()]
     for tag, evaluator, step in cases:
         _, _, reference, output, numbers = _pulse_case(config, evaluator, step)
         files.append(tables.write_pulse_csv(out / f"fig5_pulse_{tag}.csv", output))
@@ -227,8 +231,7 @@ def _run_fig5(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
 
 def _run_pulse_command(config: ScenarioConfig, out: Path,
                        svg: bool) -> tuple[list, dict]:
-    evaluator = make_chi_evaluator(config.system, config.drive, config.pump,
-                                   doppler=_doppler_or_none(config))
+    evaluator = _raman_evaluator(config, config.pump)
     spectrum, pulse, reference, output, numbers = _pulse_case(
         config, evaluator, config.drive.delta / 200.0)
     files = [

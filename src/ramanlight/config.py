@@ -243,8 +243,8 @@ PRESET_BUILDERS = {
     "fig2c": lambda: _two_coupling(30.0, 0.2, 0.0, scenario="fig2c"),
     "fig3a": lambda: _two_coupling(30.0, 0.2, 0.06, scenario="fig3a"),
     "fig3c": lambda: _two_coupling(30.0, 0.2, 0.4, scenario="fig3c"),
-    "fig4": lambda: _two_coupling(30.0, 0.2, 0.0, scenario="fig4"),
-    "fig5": lambda: _two_coupling(55.0, 0.2, 0.0, scenario="fig5"),
+    "fig4": lambda: _two_coupling(30.0, 0.2, 0.4, scenario="fig4"),
+    "fig5": lambda: _two_coupling(55.0, 0.2, 0.17, scenario="fig5"),
     "fig6": lambda: _two_coupling(30.0, 0.2, 0.0, scenario="fig6",
                                   doppler_enabled=True),
 }

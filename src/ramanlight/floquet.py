@@ -222,6 +222,25 @@ def harmonic_tail_ok(fd: FloquetDensity, rel: float = 1e-6) -> bool:
     return top <= rel * np.linalg.norm(fd.harmonic(0))
 
 
+def solve_converged(liouv: LiouvillianHarmonics, delta: float, order: int = 1,
+                    order_cap: int = MAX_ORDER) -> FloquetDensity:
+    """Steady state at the first truncation order whose harmonic tail passes.
+
+    Starts at ``order`` (at most ``order_cap``) and raises the order n to
+    max(n + 2, ceil(1.4 n)) until ``harmonic_tail_ok`` accepts the solve;
+    raises ConvergenceError when the tail still fails at ``order_cap``.
+    """
+    n = min(order, order_cap)
+    while True:
+        fd = solve_floquet(liouv, delta, n)
+        if harmonic_tail_ok(fd):
+            return fd
+        if n >= order_cap:
+            raise ConvergenceError(
+                f"harmonic tail not negligible at truncation order {n}")
+        n = min(order_cap, max(n + 2, math.ceil(1.4 * n)))
+
+
 def extract_dc_coherences(fd: FloquetDensity) -> tuple[complex, complex]:
     """Static optical coherences (rho31, rho41) of the zeroth harmonic."""
     rho0 = fd.harmonic(0)

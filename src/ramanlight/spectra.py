@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,14 +20,14 @@ from scipy.interpolate import CubicSpline
 
 from .atom import (AtomicSystem, DriveConfig, PumpModel, build_liouvillian,
                    dissipator_superop, hamiltonian_superop, ketbra)
-from .floquet import (MAX_ORDER, ConvergenceError, FloquetDensity,
-                      choose_truncation, extract_dc_coherences, harmonic_tail_ok,
-                      solve_floquet, steady_state_static)
+from .floquet import (MAX_ORDER, FloquetDensity, extract_dc_coherences,
+                      solve_converged, steady_state_static)
 
 GAMMA3_RB87_D1 = 2.0 * math.pi * 5.75e6      # rad/s, natural linewidth of the line
 WAVELENGTH_RB87_D1 = 794.98e-9               # m
 MASS_RB87 = 86.909180531 * const.atomic_mass  # kg
 HERMITE_MAX_NODES = 370   # numpy's hermgauss weights underflow or overflow above
+DOPPLER_ORDER_CAP = 600   # truncation cap of a Doppler-shifted velocity class
 
 
 class BranchCutError(ValueError):
@@ -121,7 +121,6 @@ class DopplerConfig:
     mass: float = MASS_RB87
     wavevector: float = 2.0 * math.pi / WAVELENGTH_RB87_D1
     nodes: int = 64
-    geometry: str = "co-propagating"
     gamma3: float = GAMMA3_RB87_D1
 
     def __post_init__(self):
@@ -130,8 +129,6 @@ class DopplerConfig:
         if not 8 <= self.nodes <= HERMITE_MAX_NODES:
             raise ValueError(
                 f"need between 8 and {HERMITE_MAX_NODES} quadrature nodes")
-        if self.geometry != "co-propagating":
-            raise ValueError(f"unsupported geometry {self.geometry!r}")
 
     @property
     def shift_sigma(self) -> float:
@@ -146,7 +143,6 @@ class SusceptibilitySpectrum:
 
     grid: np.ndarray            # gamma3 units, strictly increasing
     chi: np.ndarray             # complex chi_s at each grid point
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -209,7 +205,7 @@ def _resonant_order_guess(system: AtomicSystem, drive: DriveConfig,
     Classes whose shifted coupling detuning (from either excited level)
     comes within reach of the coupling Rabi frequency nutate at up to twice
     omega_c, so the harmonic content extends to roughly 2 omega_c / delta;
-    far-detuned classes keep the perturbative ladder order.
+    far-detuned classes start at the stationary base order.
     """
     detuning = min(abs(drive.delta_c), abs(drive.delta_c - system.omega43))
     if detuning > 1.3 * drive.omega_c + 10.0:
@@ -217,54 +213,30 @@ def _resonant_order_guess(system: AtomicSystem, drive: DriveConfig,
     return max(base, math.ceil((2.4 * drive.omega_c + 12.0) / drive.delta) + 8)
 
 
-def _solve_with_tail_guard(system: AtomicSystem, drive: DriveConfig,
-                           pump: PumpModel, order: int,
-                           order_cap: int) -> FloquetDensity:
-    liouv = build_liouvillian(system, drive, pump)
-    n = min(order, order_cap)
-    while True:
-        fd = solve_floquet(liouv, drive.delta, n)
-        if harmonic_tail_ok(fd):
-            return fd
-        if n >= order_cap:
-            raise ConvergenceError(
-                f"harmonic tail not negligible at truncation order {n}")
-        n = min(order_cap, max(n + 2, math.ceil(1.4 * n)))
-
-
 def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
-                       pump: PumpModel, doppler: DopplerConfig | None = None,
-                       order: int | None = None, ladder_tol: float = 1e-8,
-                       order_max: int = MAX_ORDER,
-                       doppler_order_max: int = 600) -> Callable[[float], complex]:
+                       pump: PumpModel, doppler: DopplerConfig | None = None
+                       ) -> Callable[[float], complex]:
     """Scaled susceptibility as a function of two-photon detuning.
 
-    The truncation order is fixed once from the ladder at the scan centre
-    and the Raman resonances, then each solve keeps its own harmonic-tail
-    guard, so evaluations are independent and deterministic. With a
-    DopplerConfig the evaluator velocity-averages; near-resonant velocity
-    classes get a much higher order cap since their harmonic content
-    extends to the coupling nutation frequency.
+    Every solve is ``solve_converged``. Stationary points start at the
+    highest order it settles at over the scan centre and the two Raman
+    resonances, so evaluations are independent and deterministic. With a
+    DopplerConfig the evaluator velocity-averages; velocity classes start
+    at ``_resonant_order_guess`` and may climb to DOPPLER_ORDER_CAP.
     """
     if drive.omega_p == 0:
         raise ValueError("probe must be on: chi is defined relative to omega_p")
-    if order is None:
-        base = 1
-        for d2 in (0.0, drive.delta, -drive.delta):
-            liouv = build_liouvillian(system, drive.at_two_photon_detuning(d2), pump)
-            base = max(base, choose_truncation(liouv, drive.delta,
-                                               tol=ladder_tol, order_max=order_max))
-    else:
-        base = order
+    anchors = [build_liouvillian(system, drive.at_two_photon_detuning(d2), pump)
+               for d2 in (0.0, drive.delta, -drive.delta)]
+    base = max(solve_converged(liouv, drive.delta).order for liouv in anchors)
 
     def stationary(d2: float, shift: float = 0.0) -> complex:
         d = drive.at_two_photon_detuning(d2)
+        order, cap = base, MAX_ORDER
         if shift:
             d = d.doppler_shifted(shift)
-            seed = _resonant_order_guess(system, d, base)
-            fd = _solve_with_tail_guard(system, d, pump, seed, doppler_order_max)
-        else:
-            fd = _solve_with_tail_guard(system, d, pump, base, max(order_max, base))
+            order, cap = _resonant_order_guess(system, d, base), DOPPLER_ORDER_CAP
+        fd = solve_converged(build_liouvillian(system, d, pump), d.delta, order, cap)
         return _chi_of_density(fd, system, d)
 
     if doppler is None:
@@ -273,35 +245,18 @@ def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
 
 
 def susceptibility(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
-                   doppler: DopplerConfig | None = None,
-                   order: int | None = None) -> complex:
+                   doppler: DopplerConfig | None = None) -> complex:
     """Scaled chi_s at the drive's own probe detuning."""
-    evaluator = make_chi_evaluator(system, drive, pump, doppler=doppler, order=order)
+    evaluator = make_chi_evaluator(system, drive, pump, doppler=doppler)
     return evaluator(drive.two_photon_detuning)
 
 
-def scan(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
-         grid: np.ndarray, doppler: DopplerConfig | None = None,
-         order: int | None = None) -> SusceptibilitySpectrum:
-    """Pointwise susceptibility over a two-photon-detuning grid.
+def scan_evaluator(evaluator: Callable[[float], complex],
+                   grid: np.ndarray) -> SusceptibilitySpectrum:
+    """Scan a chi(two-photon-detuning) evaluator over a grid.
 
     Any failing point aborts the scan with the offending detunings attached.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("scan grid must be non-empty")
-    evaluator = make_chi_evaluator(system, drive, pump, doppler=doppler, order=order)
-    metadata = {
-        "omega_c": drive.omega_c, "omega_p": drive.omega_p, "delta": drive.delta,
-        "delta_c": drive.delta_c, "pump_rate": pump.rate(),
-        "doppler_temperature": doppler.temperature if doppler else None,
-    }
-    return scan_evaluator(evaluator, grid, metadata=metadata)
-
-
-def scan_evaluator(evaluator: Callable[[float], complex], grid: np.ndarray,
-                   metadata: dict | None = None) -> SusceptibilitySpectrum:
-    """Scan an arbitrary chi(two-photon-detuning) evaluator over a grid."""
     grid = np.asarray(grid, dtype=float)
 
     def safe(d2: float):
@@ -315,7 +270,7 @@ def scan_evaluator(evaluator: Callable[[float], complex], grid: np.ndarray,
     if failures:
         raise ScanError(failures)
     chi = np.array([value for value, _ in results], dtype=complex)
-    return SusceptibilitySpectrum(grid=grid, chi=chi, metadata=metadata or {})
+    return SusceptibilitySpectrum(grid=grid, chi=chi)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +329,11 @@ def group_index(chi_s: complex, slope_s: float, scale: PhysicalScale,
 
 def group_index_at(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
                    scale: PhysicalScale, doppler: DopplerConfig | None = None,
-                   delta2: float = 0.0, step: float | None = None,
-                   order: int | None = None) -> GroupIndexResult:
-    """Group index at one operating point (chi and slope from the solver)."""
-    evaluator = make_chi_evaluator(system, drive, pump, doppler=doppler, order=order)
-    if step is None:
-        step = drive.delta / 200.0
+                   delta2: float = 0.0) -> GroupIndexResult:
+    """Group index at one operating point, slope step delta / 200."""
+    evaluator = make_chi_evaluator(system, drive, pump, doppler=doppler)
     chi_s = evaluator(delta2)
-    slope_s = dispersion_slope(evaluator, delta2, step)
+    slope_s = dispersion_slope(evaluator, delta2, drive.delta / 200.0)
     return group_index(chi_s, slope_s, scale)
 
 
@@ -421,8 +373,8 @@ def doppler_average(evaluate_at_shift: Callable[[float], complex],
 
 
 def pump_sweep(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
-               scale: PhysicalScale, doppler: DopplerConfig | None = None,
-               step: float | None = None, order: int | None = None) -> np.ndarray:
+               scale: PhysicalScale, doppler: DopplerConfig | None = None
+               ) -> np.ndarray:
     """Group index at the two-peak centre for each pump rate.
 
     Returns a (len(rates), 2) table of (pump rate, n_g).
@@ -433,7 +385,7 @@ def pump_sweep(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
     rows = np.empty((rates.size, 2))
     for i, rate in enumerate(rates):
         result = group_index_at(system, drive, PumpModel.direct(float(rate)),
-                                scale, doppler=doppler, step=step, order=order)
+                                scale, doppler=doppler)
         rows[i] = (rate, result.n_g)
     return rows
 

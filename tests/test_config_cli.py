@@ -9,6 +9,8 @@ from ramanlight.config import (ConfigError, PresetError, UnitMismatchError,
                                parse_config, preset, PRESET_BUILDERS)
 from ramanlight.cli import main, run_scenario
 from ramanlight import tables
+from ramanlight.atom import PumpModel
+from ramanlight.spectra import group_index_at, physical_scale
 
 
 class TestParseConfig:
@@ -235,6 +237,31 @@ class TestFig4Scenario:
         names = {p.rsplit("/", 1)[-1] for p in report.files}
         assert {"fig4_pulse_slow.csv", "fig4_pulse_fast.csv",
                 "fig4_pulse_reference.csv"} <= names
+
+    def test_config_pump_sets_pumped_case_only(self, tmp_path):
+        config_path = tmp_path / "pump.cfg"
+        config_path.write_text("[pump]\npump_rate_gamma3 = 0.3\n[grid]\npoints = 201\n")
+        assert main(["scenario", "fig4", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 0
+        stored = tables.read_metrics_csv(tmp_path / "fig4_metrics.csv")
+        config = preset("fig4")
+        for key, rate in (("group_index_pump_off", 0.0),
+                          ("group_index_pump_on", 0.3)):
+            expected = group_index_at(config.system, config.drive,
+                                      PumpModel.direct(rate), physical_scale(5e17))
+            assert stored[key] == expected.n_g
+
+
+class TestFig5Scenario:
+    def test_pump_off_overlay_runs_one_raman_case(self, tmp_path):
+        config_path = tmp_path / "pump_off.cfg"
+        config_path.write_text("[pump]\npump_rate_gamma3 = 0\n[grid]\npoints = 201\n")
+        assert main(["scenario", "fig5", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 0
+        stored = tables.read_metrics_csv(tmp_path / "fig5_metrics.csv")
+        assert [key for key in stored if key.startswith("group_index")] == [
+            "group_index_eit_0p5", "group_index_eit_1p0",
+            "group_index_two_coupling_r0"]
 
 
 class TestFig6Scenario:

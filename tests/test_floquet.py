@@ -7,11 +7,12 @@ import pytest
 
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian, ketbra)
+from ramanlight import floquet
 from ramanlight.floquet import (ConvergenceError, _assemble_banded,
                                 _assemble_dense, choose_truncation,
                                 extract_dc_coherences, harmonic_tail_ok,
-                                integrate_to_period_average, solve_floquet,
-                                steady_state_static)
+                                integrate_to_period_average, solve_converged,
+                                solve_floquet, steady_state_static)
 
 SYSTEM = AtomicSystem()
 PAPER_DRIVE = DriveConfig(omega_c=30.0, delta=0.2)
@@ -130,6 +131,46 @@ class TestChooseTruncation:
         with pytest.raises(ConvergenceError):
             choose_truncation(liouvillian(), PAPER_DRIVE.delta, tol=1e-8,
                               order_max=3)
+
+
+@pytest.fixture
+def solved_orders(monkeypatch):
+    """Truncation orders of every solve_floquet call, in call order."""
+    orders = []
+    solve = floquet.solve_floquet
+
+    def recording(liouv, delta, order):
+        orders.append(order)
+        return solve(liouv, delta, order)
+
+    monkeypatch.setattr(floquet, "solve_floquet", recording)
+    return orders
+
+
+class TestSolveConverged:
+    def test_seed_order_kept_when_tail_passes(self, solved_orders):
+        liouv = liouvillian()
+        fd = solve_converged(liouv, PAPER_DRIVE.delta, order=17)
+        assert solved_orders == [17]
+        assert np.array_equal(fd.harmonics,
+                              solve_floquet(liouv, PAPER_DRIVE.delta, 17).harmonics)
+
+    def test_order_climbs_by_forty_percent_or_two(self, solved_orders,
+                                                  monkeypatch):
+        monkeypatch.setattr(floquet, "harmonic_tail_ok", lambda fd: fd.order >= 20)
+        fd = solve_converged(liouvillian(), PAPER_DRIVE.delta)
+        assert solved_orders == [1, 3, 5, 7, 10, 14, 20]
+        assert fd.order == 20
+
+    def test_first_passing_rung_at_paper_point(self):
+        liouv = liouvillian()
+        assert solve_converged(liouv, PAPER_DRIVE.delta).order == 10
+        assert not harmonic_tail_ok(solve_floquet(liouv, PAPER_DRIVE.delta, 7))
+
+    def test_cap_reached_raises(self, solved_orders):
+        with pytest.raises(ConvergenceError):
+            solve_converged(liouvillian(), PAPER_DRIVE.delta, order_cap=6)
+        assert solved_orders == [1, 3, 5, 6]
 
 
 class TestTimeDomainOracle:
