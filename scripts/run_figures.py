@@ -6,8 +6,10 @@ Usage:
 
 Every scenario writes its SVG charts beside its CSV tables.
 
-fig6 velocity-averages a full pump sweep and takes a few minutes; everything
-else finishes in seconds.
+fig6 velocity-averages a full pump sweep and takes about a minute
+(52-61 s on a 2-core host); every other preset finishes in 1-4 s.
+
+Compare two output directories with scripts/compare_outputs.py.
 """
 
 import argparse

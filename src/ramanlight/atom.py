@@ -222,6 +222,18 @@ def build_hamiltonian_parts(system: AtomicSystem,
     return h_static, h_drive
 
 
+def detuning_generators() -> tuple[np.ndarray, np.ndarray]:
+    """dL0/d(two-photon detuning) and dL0/d(one-photon Doppler shift).
+
+    Only the rotating-frame level shifts of ``build_hamiltonian_parts``
+    depend on the detunings, linearly, so
+    L0(d2, s) = L0(0, 0) + d2 * G2 + s * Gs for a probe at two-photon
+    detuning d2 seen by a velocity class with shift s.
+    """
+    return (hamiltonian_superop(np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex)),
+            hamiltonian_superop(np.diag([0.0, 0.0, -1.0, -1.0]).astype(complex)))
+
+
 def build_liouvillian(system: AtomicSystem, drive: DriveConfig,
                       pump: PumpModel) -> LiouvillianHarmonics:
     """Assemble the generator harmonics for the driven master equation."""

@@ -6,7 +6,8 @@ the block-tridiagonal balance equations
     (L0 - i n delta) rho_n + L(+1) rho_{n-1} + L(-1) rho_{n+1} = 0
 
 for |n| <= order, with one scalar equation replaced by trace(rho_0) = 1.
-The system is banded (block bandwidth 2 dim^2 - 1) and solved directly.
+A matrix continued fraction solves the system exactly, for a whole batch
+of generators at once (one stacked dim^2 x dim^2 solve per harmonic).
 
 An independent oracle integrates the master equation with a fixed-step RK4
 scheme: the one-period propagator and the period-average operator are built
@@ -18,13 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .atom import DegenerateModelError, LiouvillianHarmonics
 
 MAX_ORDER = 25
+# continued-fraction storage of one solve chunk. Measured on fig4, 1 MiB
+# keeps the peak memory where the rest of the run puts it; 2 MiB lifts it
+# by about 1 MiB and 4 MiB by 2 MiB, with no measurable gain in time
+CHUNK_BYTES = 2 ** 20
+COMPLEX_BYTES = 16
 
 
 class SolverError(RuntimeError):
@@ -56,22 +62,37 @@ class FloquetDensity:
 
     def invariant_violations(self, atol: float = 1e-10) -> list[str]:
         """Check trace, Hermiticity pairing and population bounds."""
-        problems = []
-        rho0 = self.harmonic(0)
-        if abs(np.trace(rho0) - 1.0) > atol:
-            problems.append(f"trace(rho_0) = {np.trace(rho0):.3e} != 1")
-        for n in range(1, self.order + 1):
-            if abs(np.trace(self.harmonic(n))) > atol:
-                problems.append(f"trace(rho_{n}) != 0")
-            mismatch = np.max(np.abs(self.harmonic(-n) - self.harmonic(n).conj().T))
-            if mismatch > atol:
-                problems.append(f"rho_-{n} != rho_{n}^dagger (max dev {mismatch:.3e})")
-        pops = np.diag(rho0)
-        if np.max(np.abs(pops.imag)) > atol:
-            problems.append("populations not real")
-        if np.min(pops.real) < -atol or np.max(pops.real) > 1.0 + atol:
-            problems.append(f"populations outside [0, 1]: {pops.real}")
-        return problems
+        return _invariant_violations(self.harmonics[None], atol)[0]
+
+
+def _invariant_violations(harmonics: np.ndarray, atol: float) -> list[list[str]]:
+    """Invariant problems of each member of a (batch, 2 order + 1, dim, dim) stack."""
+    order = (harmonics.shape[1] - 1) // 2
+    traces = np.trace(harmonics, axis1=2, axis2=3)
+    pairs = np.abs(harmonics[:, order - 1::-1]
+                   - harmonics[:, order + 1:].conj().swapaxes(2, 3)).max(axis=(2, 3))
+    pops = np.diagonal(harmonics[:, order], axis1=1, axis2=2)
+    bad = ~((np.abs(traces[:, order] - 1.0) <= atol)
+            & np.all(np.abs(traces[:, order + 1:]) <= atol, axis=1)
+            & np.all(pairs <= atol, axis=1)
+            & np.all(np.abs(pops.imag) <= atol, axis=1)
+            & np.all((pops.real >= -atol) & (pops.real <= 1.0 + atol), axis=1))
+    problems: list[list[str]] = [[] for _ in range(harmonics.shape[0])]
+    for b in np.flatnonzero(bad):
+        found = problems[b]
+        trace0 = traces[b, order]
+        if not abs(trace0 - 1.0) <= atol:
+            found.append(f"trace(rho_0) = {trace0:.3e} != 1")
+        for n in range(1, order + 1):
+            if not abs(traces[b, order + n]) <= atol:
+                found.append(f"trace(rho_{n}) != 0")
+            if not pairs[b, n - 1] <= atol:
+                found.append(f"rho_-{n} != rho_{n}^dagger (max dev {pairs[b, n - 1]:.3e})")
+        if not np.max(np.abs(pops[b].imag)) <= atol:
+            found.append("populations not real")
+        if not (np.min(pops[b].real) >= -atol and np.max(pops[b].real) <= 1.0 + atol):
+            found.append(f"populations outside [0, 1]: {pops[b].real}")
+    return problems
 
 
 @dataclass
@@ -86,50 +107,9 @@ class TimeTrace:
     average_history: np.ndarray  # (periods, dim, dim) period-averaged rho
 
 
-def _block_views(x: np.ndarray, order: int, dim: int) -> np.ndarray:
-    return x.reshape(2 * order + 1, dim, dim)
-
-
-def _assemble_banded(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
-                     delta: float, order: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Banded (LAPACK gbsv layout) harmonic-balance matrix and right-hand side."""
-    dim2 = l0.shape[0]
-    dim = math.isqrt(dim2)
-    nblocks = 2 * order + 1
-    size = nblocks * dim2
-    half = 2 * dim2 - 1
-    ab = np.zeros((2 * half + 1, size), dtype=complex)
-
-    rows = np.arange(dim2)[:, None]
-    cols = np.arange(dim2)[None, :]
-    band_diag = half + rows - cols
-    band_sub = band_diag + dim2      # equation block b, unknown block b-1
-    band_super = band_diag - dim2    # equation block b, unknown block b+1
-    eye = np.eye(dim2)
-
-    for b in range(nblocks):
-        n = b - order
-        ab[band_diag, b * dim2 + cols] = l0 - (1j * n * delta) * eye
-        if b >= 1:
-            ab[band_sub, (b - 1) * dim2 + cols] = lp
-        if b + 1 < nblocks:
-            ab[band_super, (b + 1) * dim2 + cols] = lm
-
-    # Replace the rho_0 (1,1)-element equation by trace(rho_0) = 1.
-    r = order * dim2
-    js = np.arange(max(0, r - half), min(size, r + half + 1))
-    ab[half + r - js, js] = 0.0
-    trace_cols = order * dim2 + np.arange(dim) * (dim + 1)
-    ab[half + r - trace_cols, trace_cols] = 1.0
-
-    rhs = np.zeros(size, dtype=complex)
-    rhs[r] = 1.0
-    return ab, rhs, half
-
-
 def _assemble_dense(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
                     delta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense counterpart of the banded assembly (used as a cross-check)."""
+    """Dense harmonic-balance matrix and right-hand side (a test-side cross-check)."""
     dim2 = l0.shape[0]
     dim = math.isqrt(dim2)
     nblocks = 2 * order + 1
@@ -152,23 +132,130 @@ def _assemble_dense(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     return a, rhs
 
 
-def _check_residual(x: np.ndarray, l0, lp, lm, delta: float, order: int) -> None:
-    dim2 = l0.shape[0]
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack; an exactly singular member gives NaN.
+
+    LAPACK solves every member on its own, so a member's result does not
+    depend on the stack it is in.
+    """
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        b = np.broadcast_to(b, a.shape[:-2] + b.shape[-2:])
+        x = np.full(b.shape, np.nan, dtype=complex)
+        for idx in np.ndindex(a.shape[:-2]):
+            try:
+                x[idx] = np.linalg.solve(a[idx], b[idx])
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
+                        delta: float, order: int) -> np.ndarray:
+    """Harmonics of a batch of generators by the matrix continued fraction.
+
+    ``l0`` is a (batch, dim^2, dim^2) stack sharing ``lp`` and ``lm``. With
+    S_{N+1} = T_{N+1} = 0 the recursion
+
+        S_n = -(L0 - i n delta + L(-1) S_{n+1})^-1 L(+1),   rho_n = S_n rho_{n-1}
+        T_n = -(L0 + i n delta + L(+1) T_{n+1})^-1 L(-1),   rho_-n = T_n rho_-(n-1)
+
+    eliminates every harmonic but the zeroth, which solves
+    (L0 + L(+1) T_1 + L(-1) S_1) rho_0 = 0 with its (1,1) row replaced by
+    trace(rho_0) = 1. This is the truncated balance system solved exactly
+    (Risken, The Fokker-Planck Equation, ch. 9). Returns the vectorised
+    harmonics, (batch, 2 order + 1, dim^2), n ascending.
+    """
+    batch, dim2, _ = l0.shape
     dim = math.isqrt(dim2)
-    blocks = x.reshape(2 * order + 1, dim2)
+    # leading axis: 0 carries S (n > 0), 1 carries T (n < 0)
+    sign = np.array([1.0, -1.0])[:, None, None, None]
+    closing = np.stack([lm, lp])[:, None]
+    rhs = -np.stack([lp, lm])[:, None]
+    eye = np.eye(dim2)
+    st = np.empty((order, 2, batch, dim2, dim2), dtype=complex)
+    for n in range(order, 0, -1):
+        a = l0 - (1j * n * delta) * sign * eye
+        if n < order:
+            a += closing @ st[n]
+        st[n - 1] = _solve_stack(a, rhs)
+
+    m0 = l0 + (closing @ st[0]).sum(axis=0)
+    m0[:, 0, :] = 0.0
+    m0[:, 0, np.arange(dim) * (dim + 1)] = 1.0
+    e0 = np.zeros((dim2, 1), dtype=complex)
+    e0[0] = 1.0
+    x = np.empty((batch, 2 * order + 1, dim2), dtype=complex)
+    x[:, order] = _solve_stack(m0, e0)[..., 0]
+    for n in range(1, order + 1):
+        prev = np.stack([x[:, order + n - 1], x[:, order - n + 1]])
+        x[:, order + n], x[:, order - n] = (st[n - 1] @ prev[..., None])[..., 0]
+    return x
+
+
+def _residual_errors(x: np.ndarray, l0, lp, lm, delta: float,
+                     order: int) -> dict[int, DegenerateModelError]:
+    """Members whose harmonics do not solve the full balance system."""
+    dim2 = lp.shape[0]
+    dim = math.isqrt(dim2)
     n_range = np.arange(-order, order + 1)
-    res = blocks @ l0.T - (1j * delta) * n_range[:, None] * blocks
-    res[1:] += blocks[:-1] @ lp.T
-    res[:-1] += blocks[1:] @ lm.T
-    res[order, 0] = np.sum(blocks[order].reshape(dim, dim).diagonal()) - 1.0
-    scale = max(1.0, np.abs(l0).sum(axis=1).max() + np.abs(lp).sum(axis=1).max()
-                + np.abs(lm).sum(axis=1).max() + order * delta)
-    bound = 1e-7 * scale * max(1.0, np.abs(x).max())
-    worst = np.abs(res).max()
-    if worst > bound:
-        raise DegenerateModelError(
-            f"harmonic-balance system is singular or ill-conditioned "
-            f"(residual {worst:.3e} exceeds {bound:.3e})")
+    # one 16 x 16 matrix-vector product per harmonic: a matrix product over
+    # all harmonics of a high-order member makes OpenBLAS start threads,
+    # which cost ten times the product itself after the solves
+    res = (l0[:, None] @ x[..., None])[..., 0] - (1j * delta) * n_range[:, None] * x
+    res[:, 1:] += (lp @ x[:, :-1, :, None])[..., 0]
+    res[:, :-1] += (lm @ x[:, 1:, :, None])[..., 0]
+    res[:, order, 0] = x[:, order, ::dim + 1].sum(axis=1) - 1.0
+    scale = np.maximum(1.0, np.abs(l0).sum(axis=2).max(axis=1)
+                       + np.abs(lp).sum(axis=1).max() + np.abs(lm).sum(axis=1).max()
+                       + order * delta)
+    bound = 1e-7 * scale * np.maximum(1.0, np.abs(x).max(axis=(1, 2)))
+    worst = np.abs(res).max(axis=(1, 2))
+    errors = {}
+    for b in np.flatnonzero(~(worst <= bound)):
+        reason = ("singular" if not np.isfinite(worst[b]) else
+                  f"singular or ill-conditioned (residual {worst[b]:.3e} "
+                  f"exceeds {bound[b]:.3e})")
+        errors[int(b)] = DegenerateModelError(f"harmonic-balance system is {reason}")
+    return errors
+
+
+def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
+                order: int) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Periodic steady states of a batch of generators at one truncation order.
+
+    ``l0`` is a (batch, dim^2, dim^2) stack sharing the drive terms ``lp``
+    and ``lm``. Returns the harmonics, (batch, 2 order + 1, dim, dim), and
+    the failing members by index: DegenerateModelError when the constrained
+    system is singular, SolverError when the solution violates the
+    trace/Hermiticity invariants. A failing member does not affect the
+    others.
+    """
+    if order < 1:
+        raise ValueError("truncation order must be >= 1")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    batch, dim2, _ = l0.shape
+    dim = math.isqrt(dim2)
+    errors: dict[int, Exception] = {}
+    if not (np.any(lp) or np.any(lm)):
+        diagonal = np.arange(dim) * (dim + 1)
+        stationary = (np.abs(l0[:, :, diagonal]).max(axis=1) < 1e-30).sum(axis=1)
+        for b in np.flatnonzero(stationary >= 2):
+            errors[int(b)] = DegenerateModelError(
+                "steady state not unique: more than one decoupled stationary "
+                "population (probe, pump and couplings all off)")
+
+    x = _continued_fraction(l0, lp, lm, delta, order)
+    for b, exc in _residual_errors(x, l0, lp, lm, delta, order).items():
+        errors.setdefault(b, exc)
+    harmonics = x.reshape(batch, 2 * order + 1, dim, dim)
+    for b, problems in enumerate(_invariant_violations(harmonics, atol=1e-8)):
+        if problems:
+            errors.setdefault(b, SolverError(
+                "steady-state invariants violated: " + "; ".join(problems)))
+    return harmonics, errors
 
 
 def solve_floquet(liouv: LiouvillianHarmonics, delta: float,
@@ -180,46 +267,74 @@ def solve_floquet(liouv: LiouvillianHarmonics, delta: float,
     the two ground populations decoupled) and SolverError when the solution
     violates the trace/Hermiticity invariants.
     """
-    if order < 1:
-        raise ValueError("truncation order must be >= 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    dim = liouv.dim
+    harmonics, errors = solve_batch(liouv.l0[None], liouv.l_plus,
+                                    liouv.l_minus, delta, order)
+    if errors:
+        raise errors[0]
+    return FloquetDensity(order=order, delta=delta, harmonics=harmonics[0])
 
-    drive_off = not (np.any(liouv.l_plus) or np.any(liouv.l_minus))
-    if drive_off:
-        stationary = sum(
-            1 for j in range(dim)
-            if np.abs(liouv.l0[:, j * dim + j]).max() < 1e-30)
-        if stationary >= 2:
-            raise DegenerateModelError(
-                "steady state not unique: more than one decoupled stationary "
-                "population (probe, pump and couplings all off)")
 
-    ab, rhs, half = _assemble_banded(liouv.l0, liouv.l_plus, liouv.l_minus,
-                                     delta, order)
-    try:
-        x = scipy.linalg.solve_banded((half, half), ab, rhs,
-                                      overwrite_ab=True, overwrite_b=True,
-                                      check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateModelError(
-            f"harmonic-balance system is singular: {exc}") from exc
-
-    _check_residual(x, liouv.l0, liouv.l_plus, liouv.l_minus, delta, order)
-    result = FloquetDensity(order=order, delta=delta,
-                            harmonics=_block_views(x, order, dim))
-    problems = result.invariant_violations(atol=1e-8)
-    if problems:
-        raise SolverError("steady-state invariants violated: " + "; ".join(problems))
-    return result
+def _tails_ok(harmonics: np.ndarray, rel: float = 1e-6) -> np.ndarray:
+    """Per member of a batch: the edge harmonics are negligible."""
+    order = (harmonics.shape[1] - 1) // 2
+    norm = np.linalg.norm
+    top = np.maximum(norm(harmonics[:, -1], axis=(1, 2)),
+                     norm(harmonics[:, 0], axis=(1, 2)))
+    return top <= rel * norm(harmonics[:, order], axis=(1, 2))
 
 
 def harmonic_tail_ok(fd: FloquetDensity, rel: float = 1e-6) -> bool:
     """Truncation-order sanity: the edge harmonics must be negligible."""
-    top = max(np.linalg.norm(fd.harmonic(fd.order)),
-              np.linalg.norm(fd.harmonic(-fd.order)))
-    return top <= rel * np.linalg.norm(fd.harmonic(0))
+    return bool(_tails_ok(fd.harmonics[None], rel)[0])
+
+
+def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
+                          lp: np.ndarray, lm: np.ndarray, delta: float,
+                          orders, caps,
+                          accept: Callable[[np.ndarray, int, np.ndarray], None]
+                          ) -> dict[int, Exception]:
+    """``solve_converged`` over a batch of generators sharing the drive terms.
+
+    ``l0_of(members)`` returns the (len(members), dim^2, dim^2) stack of the
+    given member indices; ``orders`` and ``caps`` hold each member's seed
+    order and order cap. Members at the same order are solved together in
+    chunks of at most CHUNK_BYTES of continued-fraction storage, and only
+    members whose harmonic tail fails move up a rung. ``accept(members,
+    order, harmonics)`` receives every accepted chunk. Returns the failing
+    members by index; ConvergenceError marks a tail still failing at the cap.
+    """
+    caps = np.asarray(caps, dtype=int)
+    orders = np.minimum(np.asarray(orders, dtype=int), caps)
+    errors: dict[int, Exception] = {}
+    pending = np.arange(orders.size)
+    while pending.size:
+        climbing = []
+        for n in np.unique(orders[pending]):
+            n = int(n)
+            group = pending[orders[pending] == n]
+            chunk = max(1, CHUNK_BYTES // (2 * n * lp.size * COMPLEX_BYTES))
+            for start in range(0, group.size, chunk):
+                members = group[start:start + chunk]
+                harmonics, failed = solve_batch(l0_of(members), lp, lm, delta, n)
+                ok = _tails_ok(harmonics)
+                ok[list(failed)] = False
+                for b, exc in failed.items():
+                    errors[int(members[b])] = exc
+                if ok.any():
+                    accept(members[ok], n, harmonics[ok])
+                for b in np.flatnonzero(~ok):
+                    member = int(members[b])
+                    if member in errors:
+                        continue
+                    if n >= caps[member]:
+                        errors[member] = ConvergenceError(
+                            f"harmonic tail not negligible at truncation order {n}")
+                    else:
+                        orders[member] = min(caps[member],
+                                             max(n + 2, math.ceil(1.4 * n)))
+                        climbing.append(member)
+        pending = np.array(sorted(climbing), dtype=int)
+    return errors
 
 
 def solve_converged(liouv: LiouvillianHarmonics, delta: float, order: int = 1,
@@ -227,18 +342,18 @@ def solve_converged(liouv: LiouvillianHarmonics, delta: float, order: int = 1,
     """Steady state at the first truncation order whose harmonic tail passes.
 
     Starts at ``order`` (at most ``order_cap``) and raises the order n to
-    max(n + 2, ceil(1.4 n)) until ``harmonic_tail_ok`` accepts the solve;
+    max(n + 2, ceil(1.4 n)) until the harmonic-tail test accepts the solve;
     raises ConvergenceError when the tail still fails at ``order_cap``.
     """
-    n = min(order, order_cap)
-    while True:
-        fd = solve_floquet(liouv, delta, n)
-        if harmonic_tail_ok(fd):
-            return fd
-        if n >= order_cap:
-            raise ConvergenceError(
-                f"harmonic tail not negligible at truncation order {n}")
-        n = min(order_cap, max(n + 2, math.ceil(1.4 * n)))
+    found = []
+    errors = solve_converged_batch(
+        lambda members: liouv.l0[None], liouv.l_plus, liouv.l_minus, delta,
+        [order], [order_cap],
+        lambda members, n, harmonics: found.append(
+            FloquetDensity(order=n, delta=delta, harmonics=harmonics[0])))
+    if errors:
+        raise errors[0]
+    return found[0]
 
 
 def extract_dc_coherences(fd: FloquetDensity) -> tuple[complex, complex]:
@@ -391,22 +506,35 @@ def integrate_to_period_average(
         f"(last change {changes[-1] if changes else float('nan'):.3e}, tol {tol:g})")
 
 
-def steady_state_static(l0: np.ndarray) -> np.ndarray:
-    """Steady state of a static generator: L0 rho = 0 with trace(rho) = 1."""
-    dim2 = l0.shape[0]
+def steady_state_static_batch(l0: np.ndarray) -> tuple[np.ndarray, dict[int, DegenerateModelError]]:
+    """Steady states of a (batch, dim^2, dim^2) stack of static generators.
+
+    Each member solves L0 rho = 0 with trace(rho) = 1. Returns the states,
+    (batch, dim, dim), and the failing members by index.
+    """
+    batch, dim2, _ = l0.shape
     dim = math.isqrt(dim2)
     a = l0.copy()
-    a[0, :] = 0.0
-    a[0, np.arange(dim) * (dim + 1)] = 1.0
-    rhs = np.zeros(dim2, dtype=complex)
+    a[:, 0, :] = 0.0
+    a[:, 0, np.arange(dim) * (dim + 1)] = 1.0
+    rhs = np.zeros((dim2, 1), dtype=complex)
     rhs[0] = 1.0
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateModelError(f"static steady state not unique: {exc}") from exc
-    res = l0 @ x
-    res[0] = 0.0
-    scale = max(1.0, np.abs(l0).sum(axis=1).max()) * max(1.0, np.abs(x).max())
-    if np.abs(res).max() > 1e-8 * scale or abs(x[::dim + 1].sum() - 1.0) > 1e-8:
-        raise DegenerateModelError("static steady state is ill-conditioned")
-    return x.reshape(dim, dim)
+    x = _solve_stack(a, rhs)[..., 0]
+    res = (l0 @ x[..., None])[..., 0]
+    res[:, 0] = 0.0
+    scale = (np.maximum(1.0, np.abs(l0).sum(axis=2).max(axis=1))
+             * np.maximum(1.0, np.abs(x).max(axis=1)))
+    good = ((np.abs(res).max(axis=1) <= 1e-8 * scale)
+            & (np.abs(x[:, ::dim + 1].sum(axis=1) - 1.0) <= 1e-8))
+    errors = {int(b): DegenerateModelError(
+                  "static steady state is singular or ill-conditioned")
+              for b in np.flatnonzero(~good)}
+    return x.reshape(batch, dim, dim), errors
+
+
+def steady_state_static(l0: np.ndarray) -> np.ndarray:
+    """Steady state of a static generator: L0 rho = 0 with trace(rho) = 1."""
+    rho, errors = steady_state_static_batch(l0[None])
+    if errors:
+        raise errors[0]
+    return rho[0]

@@ -19,9 +19,10 @@ import scipy.constants as const
 from scipy.interpolate import CubicSpline
 
 from .atom import (AtomicSystem, DriveConfig, PumpModel, build_liouvillian,
-                   dissipator_superop, hamiltonian_superop, ketbra)
-from .floquet import (MAX_ORDER, FloquetDensity, extract_dc_coherences,
-                      solve_converged, steady_state_static)
+                   detuning_generators, dissipator_superop,
+                   hamiltonian_superop, ketbra)
+from .floquet import (MAX_ORDER, solve_converged_batch,
+                      steady_state_static_batch)
 
 GAMMA3_RB87_D1 = 2.0 * math.pi * 5.75e6      # rad/s, natural linewidth of the line
 WAVELENGTH_RB87_D1 = 794.98e-9               # m
@@ -191,11 +192,22 @@ class ThreeLevelConfig:
 # ---------------------------------------------------------------------------
 # point evaluation
 
-def _chi_of_density(fd: FloquetDensity, system: AtomicSystem,
-                    drive: DriveConfig) -> complex:
-    rho31, rho41 = extract_dc_coherences(fd)
-    s31, s41 = system.dipole_signs[0], system.dipole_signs[1]
-    return rho31 / (s31 * drive.omega_p) + rho41 / (s41 * drive.omega_p)
+def _point_values(points: np.ndarray, values: np.ndarray,
+                  errors: dict[int, Exception]):
+    """An evaluator's answer at a scalar or an array of detunings.
+
+    ``values`` and ``errors`` (by flat index) cover ``points.ravel()``. A
+    failing scalar raises its own error; failing array points raise one
+    ScanError naming each of them.
+    """
+    if errors:
+        if points.ndim == 0:
+            raise errors[min(errors)]
+        flat = points.reshape(-1)
+        raise ScanError([(float(flat[i]), errors[i]) for i in sorted(errors)])
+    if points.ndim == 0:
+        return complex(values[0])
+    return values.reshape(points.shape)
 
 
 def _resonant_order_guess(system: AtomicSystem, drive: DriveConfig,
@@ -215,33 +227,82 @@ def _resonant_order_guess(system: AtomicSystem, drive: DriveConfig,
 
 def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
                        pump: PumpModel, doppler: DopplerConfig | None = None
-                       ) -> Callable[[float], complex]:
+                       ) -> Callable:
     """Scaled susceptibility as a function of two-photon detuning.
 
-    Every solve is ``solve_converged``. Stationary points start at the
-    highest order it settles at over the scan centre and the two Raman
-    resonances, so evaluations are independent and deterministic. With a
-    DopplerConfig the evaluator velocity-averages; velocity classes start
-    at ``_resonant_order_guess`` and may climb to DOPPLER_ORDER_CAP.
+    The evaluator takes a scalar detuning (and returns a complex) or an
+    array (and returns a complex array of its shape), solved as one batch.
+    A failing scalar raises its solver error; failing array points raise a
+    ScanError naming each failing detuning.
+
+    The generator is affine in the two-photon detuning and the Doppler
+    shift, so it is assembled once. Every solve runs the
+    ``solve_converged`` ladder. Stationary points start at the highest
+    order it settles at over the scan centre and the two Raman resonances,
+    so evaluations are independent and deterministic. With a DopplerConfig
+    the evaluator velocity-averages; velocity classes start at
+    ``_resonant_order_guess`` and may climb to DOPPLER_ORDER_CAP.
     """
     if drive.omega_p == 0:
         raise ValueError("probe must be on: chi is defined relative to omega_p")
-    anchors = [build_liouvillian(system, drive.at_two_photon_detuning(d2), pump)
-               for d2 in (0.0, drive.delta, -drive.delta)]
-    base = max(solve_converged(liouv, drive.delta).order for liouv in anchors)
+    liouv = build_liouvillian(system, drive.at_two_photon_detuning(0.0), pump)
+    per_d2, per_shift = detuning_generators()
+    s31, s41 = system.dipole_signs[0], system.dipole_signs[1]
 
-    def stationary(d2: float, shift: float = 0.0) -> complex:
-        d = drive.at_two_photon_detuning(d2)
-        order, cap = base, MAX_ORDER
-        if shift:
-            d = d.doppler_shifted(shift)
-            order, cap = _resonant_order_guess(system, d, base), DOPPLER_ORDER_CAP
-        fd = solve_converged(build_liouvillian(system, d, pump), d.delta, order, cap)
-        return _chi_of_density(fd, system, d)
+    def solve(d2: np.ndarray, shift: np.ndarray, orders, caps):
+        """chi at each (d2, shift) pair (NaN where failing), orders and errors."""
+        chi = np.full(d2.size, np.nan, dtype=complex)
+        accepted = np.zeros(d2.size, dtype=int)
+
+        def accept(members, order, harmonics):
+            rho0 = harmonics[:, order]
+            chi[members] = (rho0[:, 2, 0] / (s31 * drive.omega_p)
+                            + rho0[:, 3, 0] / (s41 * drive.omega_p))
+            accepted[members] = order
+
+        errors = solve_converged_batch(
+            lambda m: (liouv.l0 + d2[m, None, None] * per_d2
+                       + shift[m, None, None] * per_shift),
+            liouv.l_plus, liouv.l_minus, drive.delta, orders, caps, accept)
+        return chi, accepted, errors
+
+    anchors = np.array([0.0, drive.delta, -drive.delta])
+    _, orders, errors = solve(anchors, np.zeros(3), np.ones(3, dtype=int),
+                              np.full(3, MAX_ORDER))
+    if errors:
+        raise errors[min(errors)]
+    base = int(orders.max())
+
+    def stationary(d2):
+        points = np.asarray(d2, dtype=float)
+        flat = points.reshape(-1)
+        chi, _, errors = solve(flat, np.zeros(flat.size), np.full(flat.size, base),
+                               np.full(flat.size, MAX_ORDER))
+        return _point_values(points, chi, errors)
 
     if doppler is None:
-        return lambda d2: stationary(d2)
-    return lambda d2: doppler_average(lambda s: stationary(d2, s), doppler)
+        return stationary
+
+    def averaged(d2):
+        points = np.asarray(d2, dtype=float)
+        flat = points.reshape(-1)
+        point_errors: dict[int, Exception] = {}
+
+        def at_shifts(shifts: np.ndarray) -> np.ndarray:
+            seeds = [_resonant_order_guess(system, drive.doppler_shifted(s), base)
+                     if s else base for s in shifts]
+            caps = [DOPPLER_ORDER_CAP if s else MAX_ORDER for s in shifts]
+            d2s, ss = np.broadcast_arrays(flat[:, None], shifts[None, :])
+            chi, _, errors = solve(d2s.ravel(), ss.ravel(),
+                                   np.tile(seeds, flat.size), np.tile(caps, flat.size))
+            for i in sorted(errors):
+                point_errors.setdefault(i // shifts.size, errors[i])
+            return chi.reshape(d2s.shape)
+
+        return _point_values(points, doppler_average(at_shifts, doppler),
+                             point_errors)
+
+    return averaged
 
 
 def susceptibility(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
@@ -251,26 +312,14 @@ def susceptibility(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
     return evaluator(drive.two_photon_detuning)
 
 
-def scan_evaluator(evaluator: Callable[[float], complex],
-                   grid: np.ndarray) -> SusceptibilitySpectrum:
-    """Scan a chi(two-photon-detuning) evaluator over a grid.
+def scan_evaluator(evaluator: Callable, grid: np.ndarray) -> SusceptibilitySpectrum:
+    """Scan a chi(two-photon-detuning) evaluator over a grid in one call.
 
-    Any failing point aborts the scan with the offending detunings attached.
+    The evaluator takes the whole grid; failing points raise a ScanError
+    with the offending detunings attached.
     """
     grid = np.asarray(grid, dtype=float)
-
-    def safe(d2: float):
-        try:
-            return evaluator(d2), None
-        except Exception as exc:  # collected and re-raised with the grid point
-            return None, exc
-
-    results = [safe(d2) for d2 in grid]
-    failures = [(float(d2), exc) for d2, (_, exc) in zip(grid, results) if exc]
-    if failures:
-        raise ScanError(failures)
-    chi = np.array([value for value, _ in results], dtype=complex)
-    return SusceptibilitySpectrum(grid=grid, chi=chi)
+    return SusceptibilitySpectrum(grid=grid, chi=evaluator(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +341,11 @@ def dispersion_slope(chi_source, x0: float, step: float,
     fn = chi_source.interpolator() if isinstance(chi_source, SusceptibilitySpectrum) \
         else chi_source
 
-    def re(x):
-        return complex(fn(x)).real
-
-    coarse = (re(x0 + step) - re(x0 - step)) / (2.0 * step)
-    fine = (re(x0 + step / 2) - re(x0 - step / 2)) / step
+    points = x0 + np.array([step, -step, step / 2, -step / 2])
+    # one call for the four points; a constant source may answer with a scalar
+    re = np.broadcast_to(np.real(fn(points)), points.shape)
+    coarse = (re[0] - re[1]) / (2.0 * step)
+    fine = (re[2] - re[3]) / step
     scale = max(abs(fine), abs(coarse))
     if scale > 0 and abs(fine - coarse) > check_tol * scale:
         warnings.warn(
@@ -342,23 +391,27 @@ def doppler_average(evaluate_at_shift: Callable[[float], complex],
                     check_convergence: bool = False) -> complex:
     """Gauss-Hermite average over the one-photon Doppler shift.
 
-    ``evaluate_at_shift`` receives the shared one-photon shift in gamma3
-    units (the two-photon detuning is velocity independent in the
-    co-propagating geometry). With ``check_convergence`` the quadrature is
-    repeated with half again as many nodes and must agree to 1e-3 relative;
-    a refined rule beyond HERMITE_MAX_NODES fails with QuadratureError.
+    ``evaluate_at_shift`` receives the one-photon shifts of all nodes as
+    one array, in gamma3 units (the two-photon detuning is velocity
+    independent in the co-propagating geometry), and returns the values
+    along its last axis; leading axes are averaged independently. With
+    ``check_convergence`` the quadrature is repeated with half again as
+    many nodes and must agree to 1e-3 relative; a refined rule beyond
+    HERMITE_MAX_NODES fails with QuadratureError.
     """
     refined_nodes = round(1.5 * config.nodes)
     if check_convergence and refined_nodes > HERMITE_MAX_NODES:
         raise QuadratureError(f"refined rule needs {refined_nodes} nodes, "
                               f"more than {HERMITE_MAX_NODES}")
 
-    def quadrature(nodes: int) -> complex:
+    def quadrature(nodes: int):
         x, w = np.polynomial.hermite.hermgauss(nodes)
         shifts = math.sqrt(2.0) * config.shift_sigma * x
+        values = np.asarray(evaluate_at_shift(shifts))
+        values = np.broadcast_to(values, values.shape[:-1] + shifts.shape)
         total = 0.0 + 0.0j
-        for weight, shift in zip(w, shifts):
-            total += weight * evaluate_at_shift(float(shift))
+        for k, weight in enumerate(w):  # node by node: independent of the batch
+            total = total + weight * values[..., k]
         return total / math.sqrt(math.pi)
 
     value = quadrature(config.nodes)
@@ -393,10 +446,10 @@ def pump_sweep(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
 # ---------------------------------------------------------------------------
 # three-level EIT reference
 
-def _eit_liouvillian(config: ThreeLevelConfig, delta_p: float) -> np.ndarray:
+def _eit_liouvillian(config: ThreeLevelConfig) -> np.ndarray:
+    """Generator of the Lambda system at probe detuning 0."""
     h = np.zeros((3, 3), dtype=complex)
-    h[1, 1] = 2.0 * (delta_p - config.delta_c)
-    h[2, 2] = 2.0 * delta_p
+    h[1, 1] = -2.0 * config.delta_c
     h[0, 2] = h[2, 0] = config.omega_p
     h[1, 2] = h[2, 1] = config.omega_c
     h *= -0.5
@@ -410,13 +463,26 @@ def _eit_liouvillian(config: ThreeLevelConfig, delta_p: float) -> np.ndarray:
 
 def eit_susceptibility(config: ThreeLevelConfig, delta_p: float) -> complex:
     """Scaled chi_s of the standard resonant-coupling Lambda system."""
-    rho = steady_state_static(_eit_liouvillian(config, delta_p))
-    return complex(rho[2, 0]) / config.omega_p
+    return make_eit_evaluator(config)(delta_p)
 
 
-def make_eit_evaluator(config: ThreeLevelConfig) -> Callable[[float], complex]:
-    """chi_s as a function of probe detuning (= two-photon detuning here)."""
-    return lambda delta_p: eit_susceptibility(config, delta_p)
+def make_eit_evaluator(config: ThreeLevelConfig) -> Callable:
+    """chi_s as a function of probe detuning (= two-photon detuning here).
+
+    Takes a scalar or an array like ``make_chi_evaluator``'s evaluators.
+    The generator is affine in the probe detuning (only the level shifts
+    -delta_p of |2> and |3> move), so it is assembled once.
+    """
+    l0 = _eit_liouvillian(config)
+    per_delta_p = hamiltonian_superop(np.diag([0.0, -1.0, -1.0]).astype(complex))
+
+    def evaluate(delta_p):
+        points = np.asarray(delta_p, dtype=float)
+        flat = points.reshape(-1)
+        rho, errors = steady_state_static_batch(l0 + flat[:, None, None] * per_delta_p)
+        return _point_values(points, rho[:, 2, 0] / config.omega_p, errors)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_hamiltonian_parts,
-                             build_liouvillian, ketbra, pump_rate_from_field,
-                             validate_system)
+                             build_liouvillian, detuning_generators, ketbra,
+                             pump_rate_from_field, validate_system)
 
 
 def unvec(v):
@@ -140,6 +140,20 @@ class TestLiouvillian:
         out_lind = apply(lind.l0, rho12)
         assert out_paper[0, 1] == pytest.approx(-gamma2 / 2 * 1.0)
         assert out_lind[0, 1] == pytest.approx(-(gamma2 + rate) / 2)
+
+    def test_generator_affine_in_detuning_and_shift(self):
+        # L0(d2, s) = L0(0, 0) + d2 G2 + s Gs, against a fresh assembly
+        system = AtomicSystem(omega43=133.0, gamma3_deph=0.02)
+        drive = DriveConfig(omega_c=25.0, delta=0.3, delta_c=61.7)
+        pump = PumpModel.direct(0.27)
+        base = build_liouvillian(system, drive.at_two_photon_detuning(0.0), pump).l0
+        per_d2, per_shift = detuning_generators()
+        rng = np.random.default_rng(11)
+        for d2, shift in zip(rng.uniform(-3.0, 3.0, 8), rng.uniform(-200.0, 200.0, 8)):
+            direct = build_liouvillian(
+                system, drive.at_two_photon_detuning(d2).doppler_shifted(shift), pump).l0
+            affine = base + d2 * per_d2 + shift * per_shift
+            assert np.abs(affine - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
 class TestPumpRate:

@@ -8,11 +8,12 @@ import pytest
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian, ketbra)
 from ramanlight import floquet
-from ramanlight.floquet import (ConvergenceError, _assemble_banded,
-                                _assemble_dense, choose_truncation,
-                                extract_dc_coherences, harmonic_tail_ok,
-                                integrate_to_period_average, solve_converged,
-                                solve_floquet, steady_state_static)
+from ramanlight.floquet import (ConvergenceError, _assemble_dense,
+                                choose_truncation, extract_dc_coherences,
+                                harmonic_tail_ok, integrate_to_period_average,
+                                solve_batch, solve_converged,
+                                solve_converged_batch, solve_floquet,
+                                steady_state_static, steady_state_static_batch)
 
 SYSTEM = AtomicSystem()
 PAPER_DRIVE = DriveConfig(omega_c=30.0, delta=0.2)
@@ -22,30 +23,66 @@ def liouvillian(drive=PAPER_DRIVE, rate=0.0, system=SYSTEM):
     return build_liouvillian(system, drive, PumpModel.direct(rate))
 
 
-class TestBandedAssembly:
-    def test_matches_dense_solution(self):
-        liouv = liouvillian(rate=0.1)
-        ab, rhs, half = _assemble_banded(liouv.l0, liouv.l_plus, liouv.l_minus,
-                                         0.2, 3)
-        import scipy.linalg
-        x_banded = scipy.linalg.solve_banded((half, half), ab, rhs)
-        a, b = _assemble_dense(liouv.l0, liouv.l_plus, liouv.l_minus, 0.2, 3)
-        x_dense = np.linalg.solve(a, b)
-        assert np.allclose(x_banded, x_dense, atol=1e-12)
+def dense_harmonics(liouv, delta, order):
+    a, b = _assemble_dense(liouv.l0, liouv.l_plus, liouv.l_minus, delta, order)
+    return np.linalg.solve(a, b).reshape(2 * order + 1, 4, 4)
 
-    def test_banded_layout_reproduces_dense_matrix(self):
-        rng = np.random.default_rng(5)
-        l0 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        lp = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        lm = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        ab, _, half = _assemble_banded(l0, lp, lm, 0.37, 2)
-        a, _ = _assemble_dense(l0, lp, lm, 0.37, 2)
-        size = a.shape[0]
-        rebuilt = np.zeros_like(a)
-        for j in range(size):
-            for i in range(max(0, j - half), min(size, j + half + 1)):
-                rebuilt[i, j] = ab[half + i - j, j]
-        assert np.array_equal(rebuilt, a)
+
+def assert_matches_dense(fd, liouv):
+    """Every harmonic within 1e-12 of rho_0; the non-negligible ones (above
+    the 1e-6 tail threshold) also within 1e-12 of their own size."""
+    dense = dense_harmonics(liouv, fd.delta, fd.order)
+    size = np.abs(dense).max(axis=(1, 2))
+    dev = np.abs(fd.harmonics - dense).max(axis=(1, 2))
+    assert dev.max() <= 1e-12 * size[fd.order]
+    significant = size >= 1e-6 * size[fd.order]
+    assert np.all(dev[significant] <= 1e-12 * size[significant])
+
+
+class TestContinuedFraction:
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    @pytest.mark.parametrize("order", [1, 3, 10, 14])
+    def test_matches_dense_solution(self, order, rate):
+        liouv = liouvillian(rate=rate)
+        assert_matches_dense(solve_floquet(liouv, 0.2, order), liouv)
+
+    def test_doppler_shifted_class_at_high_order_matches_dense(self):
+        # a velocity class 10 Gamma3 from |3>: every harmonic up to 120 counts
+        liouv = liouvillian(PAPER_DRIVE.doppler_shifted(-60.0), rate=0.2)
+        fd = solve_floquet(liouv, 0.2, 120)
+        assert np.abs(fd.harmonic(120)).max() > 1e-6 * np.abs(fd.harmonic(0)).max()
+        assert_matches_dense(fd, liouv)
+
+    def test_batch_members_are_independent(self):
+        shifted = liouvillian(PAPER_DRIVE.doppler_shifted(-60.0))
+        paper = liouvillian()
+        stack = np.stack([paper.l0, shifted.l0, paper.l0])
+        stack[2] = np.nan        # one unusable member
+        harmonics, errors = solve_batch(stack, paper.l_plus, paper.l_minus, 0.2, 10)
+        assert list(errors) == [2]
+        assert isinstance(errors[2], DegenerateModelError)
+        for b, liouv in ((0, paper), (1, shifted)):
+            alone = solve_floquet(liouv, 0.2, 10).harmonics
+            assert np.array_equal(harmonics[b], alone)
+
+    def test_ladder_reports_only_the_capped_member(self):
+        # the paper point settles at order 10; the shifted class needs ~300
+        paper = liouvillian()
+        stack = np.stack([paper.l0, liouvillian(PAPER_DRIVE.doppler_shifted(-60.0)).l0])
+        accepted = {}
+
+        def accept(members, order, harmonics):
+            for m, h in zip(members, harmonics):
+                accepted[int(m)] = (order, h)
+
+        errors = solve_converged_batch(lambda m: stack[m], paper.l_plus,
+                                       paper.l_minus, 0.2, [1, 1], [25, 25], accept)
+        assert list(errors) == [1]
+        assert isinstance(errors[1], ConvergenceError)
+        assert list(accepted) == [0]
+        order, harmonics = accepted[0]
+        assert order == 10
+        assert np.array_equal(harmonics, solve_converged(paper, 0.2).harmonics)
 
 
 class TestSolveFloquet:
@@ -135,15 +172,15 @@ class TestChooseTruncation:
 
 @pytest.fixture
 def solved_orders(monkeypatch):
-    """Truncation orders of every solve_floquet call, in call order."""
+    """Truncation orders of every solve_batch call, in call order."""
     orders = []
-    solve = floquet.solve_floquet
+    solve = floquet.solve_batch
 
-    def recording(liouv, delta, order):
+    def recording(l0, lp, lm, delta, order):
         orders.append(order)
-        return solve(liouv, delta, order)
+        return solve(l0, lp, lm, delta, order)
 
-    monkeypatch.setattr(floquet, "solve_floquet", recording)
+    monkeypatch.setattr(floquet, "solve_batch", recording)
     return orders
 
 
@@ -157,7 +194,9 @@ class TestSolveConverged:
 
     def test_order_climbs_by_forty_percent_or_two(self, solved_orders,
                                                   monkeypatch):
-        monkeypatch.setattr(floquet, "harmonic_tail_ok", lambda fd: fd.order >= 20)
+        # harmonics of order n hold 2 n + 1 entries: pass from order 20 on
+        monkeypatch.setattr(floquet, "_tails_ok",
+                            lambda h: np.full(len(h), h.shape[1] >= 41))
         fd = solve_converged(liouvillian(), PAPER_DRIVE.delta)
         assert solved_orders == [1, 3, 5, 7, 10, 14, 20]
         assert fd.order == 20
@@ -242,3 +281,13 @@ class TestStaticSteadyState:
         l0 = np.zeros((4, 4), dtype=complex)  # 2-level, no dynamics at all
         with pytest.raises(DegenerateModelError):
             steady_state_static(l0)
+
+    def test_batch_reports_only_the_degenerate_member(self):
+        import ramanlight.atom as atom
+        op = np.zeros((2, 2), dtype=complex)
+        op[0, 1] = 1.0
+        decay = atom.dissipator_superop(op, 1.0)
+        rho, errors = steady_state_static_batch(
+            np.stack([decay, np.zeros((4, 4), dtype=complex), 2.0 * decay]))
+        assert list(errors) == [1]
+        assert np.allclose(rho[[0, 2]], np.diag([1.0, 0.0]), atol=1e-12)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ramanlight.atom import (AtomicSystem, DriveConfig, PumpModel,
-                             build_liouvillian)
+from ramanlight import floquet
+from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
+                             PumpModel, build_liouvillian)
 from ramanlight.floquet import extract_dc_coherences, solve_floquet
 from ramanlight.spectra import (BranchCutError, DopplerConfig, QuadratureError,
                                 ScanError, SusceptibilitySpectrum,
@@ -109,7 +110,8 @@ class TestTruncation:
         assert evaluator(0.0) == pytest.approx(order_41(0.0), rel=2e-10)
         step = drive.delta / 200.0
         assert dispersion_slope(evaluator, 0.0, step) == pytest.approx(
-            dispersion_slope(order_41, 0.0, step), rel=6e-9)
+            dispersion_slope(np.vectorize(order_41, otypes=[complex]), 0.0, step),
+            rel=6e-9)
 
 
 class TestScan:
@@ -122,12 +124,54 @@ class TestScan:
 
     def test_failures_reported_with_grid_point(self):
         def evaluator(d2):
-            if d2 > 0:
-                raise RuntimeError("boom")
-            return 0j
+            bad = d2 > 0
+            if bad.any():
+                raise ScanError([(float(x), RuntimeError("boom")) for x in d2[bad]])
+            return np.zeros(d2.shape, dtype=complex)
         with pytest.raises(ScanError) as err:
             scan_evaluator(evaluator, np.array([-1.0, 0.0, 1.0]))
         assert err.value.failures[0][0] == 1.0
+
+    def test_only_the_degenerate_point_is_reported(self, monkeypatch):
+        # Im L0 at the rho21 diagonal entry is the two-photon detuning:
+        # spoil the one member solved at d2 = grid[11], wherever it is batched
+        grid = np.linspace(-0.4, 0.4, 17)
+        solve = floquet.solve_batch
+
+        def spoiled(l0, lp, lm, delta, order):
+            l0 = l0.copy()
+            l0[l0[:, 4, 4].imag == grid[11]] = np.nan
+            return solve(l0, lp, lm, delta, order)
+
+        evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
+        monkeypatch.setattr(floquet, "solve_batch", spoiled)
+        with pytest.raises(ScanError) as err:
+            scan_evaluator(evaluator, grid)
+        assert [point for point, _ in err.value.failures] == [grid[11]]
+        assert isinstance(err.value.failures[0][1], DegenerateModelError)
+        with pytest.raises(DegenerateModelError):
+            evaluator(grid[11])
+        assert np.isfinite(evaluator(grid[10]))
+
+    def test_point_independent_of_batch_and_chunk(self, monkeypatch):
+        evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
+        grid = np.linspace(-1.0, 1.0, 2001)
+        scan = scan_evaluator(evaluator, grid).chi
+        chunk = floquet.CHUNK_BYTES // (2 * 10 * 256 * 16)   # members at order 10
+        for i in (0, chunk - 1, chunk, 1000, 1337, 2000):
+            assert evaluator(grid[i]) == scan[i]
+        # chunks of three members put a boundary next to every third point
+        monkeypatch.setattr(floquet, "CHUNK_BYTES", 3 * 2 * 10 * 256 * 16)
+        assert np.array_equal(evaluator(grid[45:60]), scan[45:60])
+
+    def test_doppler_value_independent_of_batch(self):
+        config = DopplerConfig(nodes=16)
+        evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0),
+                                       doppler=config)
+        points = np.array([-0.002, -0.001, 0.0, 0.001, 0.002])
+        batch = evaluator(points)
+        for point, value in zip(points, batch):
+            assert evaluator(point) == value
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
