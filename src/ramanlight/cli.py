@@ -27,9 +27,9 @@ from .atom import PumpModel, validate_system
 from .config import (PresetError, ScenarioConfig, load_config, preset,
                      PRESET_BUILDERS)
 from .spectra import (DopplerConfig, PhysicalScale, ThreeLevelConfig,
-                      dispersion_slope, find_imag_peaks, group_index,
-                      make_chi_evaluator, make_eit_evaluator, physical_scale,
-                      scan_evaluator, transmission_window_fwhm)
+                      find_imag_peaks, group_index, make_chi_evaluator,
+                      make_eit_evaluator, physical_scale, scan_evaluator,
+                      transmission_window_fwhm)
 
 
 @dataclass
@@ -107,12 +107,12 @@ def _normalised_pulses(curves: list[tuple[str, pulses.Pulse]]) -> list:
     return series
 
 
-def _pulse_case(config: ScenarioConfig, evaluator, step: float):
+def _pulse_case(config: ScenarioConfig, evaluator):
     """Propagate the configured pulse through the evaluator's medium.
 
     Returns the pulse-band spectrum, the input pulse, its vacuum reference,
-    the output pulse and the headline numbers. ``step`` is the
-    dispersion-slope step of the group index that predicts the delay.
+    the output pulse and the headline numbers. The group index that
+    predicts the delay takes its slope from the evaluator's tangent.
     """
     scale = _scale_of(config)
     spectrum = scan_evaluator(evaluator, _pulse_band_grid(config))
@@ -120,8 +120,8 @@ def _pulse_case(config: ScenarioConfig, evaluator, step: float):
                                        config.pulse.samples)
     reference = pulses.vacuum_reference(pulse, scale)
     output = pulses.propagate(pulse, spectrum, scale)
-    n_g = group_index(evaluator(0.0), dispersion_slope(evaluator, 0.0, step),
-                      scale).n_g
+    chi0, dchi0 = evaluator.tangent(0.0)
+    n_g = group_index(chi0, dchi0.real, scale).n_g
     summary = pulses.metrics(pulse, output, reference,
                              (n_g - 1.0) * scale.length / const.c)
     numbers = {
@@ -148,14 +148,12 @@ def _run_spectrum_scenario(config: ScenarioConfig, out: Path,
     peaks = find_imag_peaks(spectrum)
     strongest = sorted(
         peaks, key=lambda p: -spectrum.chi.imag[np.searchsorted(spectrum.grid, p)])[:2]
-    chi0 = evaluator(0.0)
-    result = group_index(chi0, dispersion_slope(evaluator, 0.0, config.drive.delta / 200.0),
-                         scale)
+    chi0, dchi0 = evaluator.tangent(0.0)
     headline = {
         "center_re_chi_scaled": chi0.real,
         "center_im_chi_scaled": chi0.imag,
-        "center_slope_scaled": result.dre_chi_domega * scale.gamma3 ** 2 / scale.k,
-        "group_index_center": result.n_g,
+        "center_slope_scaled": dchi0.real,
+        "group_index_center": group_index(chi0, dchi0.real, scale).n_g,
         "imag_peak_count": float(len(peaks)),
     }
     for i, p in enumerate(sorted(strongest)):
@@ -177,8 +175,7 @@ def _run_fig4(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
     for tag, label, pump in (("pump_off", "slow", PumpModel.direct(0.0)),
                              ("pump_on", "fast", config.pump)):
         evaluator = _raman_evaluator(config, pump)
-        spectrum, _, reference, output, numbers = _pulse_case(
-            config, evaluator, config.drive.delta / 200.0)
+        spectrum, _, reference, output, numbers = _pulse_case(config, evaluator)
         files.append(tables.write_spectrum_csv(
             out / f"fig4_spectrum_{tag}.csv", spectrum))
         files.append(tables.write_pulse_csv(out / f"fig4_pulse_{label}.csv", output))
@@ -205,15 +202,14 @@ def _run_fig5(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
     headline = {}
     curves = []
     cases = [
-        ("eit_0p5", make_eit_evaluator(_eit_config(config, 0.5)), 0.001),
-        ("eit_1p0", make_eit_evaluator(_eit_config(config, 1.0)), 0.001),
+        ("eit_0p5", make_eit_evaluator(_eit_config(config, 0.5))),
+        ("eit_1p0", make_eit_evaluator(_eit_config(config, 1.0))),
     ]
     raman = {f"two_coupling_r{pump.rate():g}".replace(".", "p"): pump
              for pump in (PumpModel.direct(0.0), config.pump)}  # one per rate
-    cases += [(tag, _raman_evaluator(config, pump), config.drive.delta / 200.0)
-              for tag, pump in raman.items()]
-    for tag, evaluator, step in cases:
-        _, _, reference, output, numbers = _pulse_case(config, evaluator, step)
+    cases += [(tag, _raman_evaluator(config, pump)) for tag, pump in raman.items()]
+    for tag, evaluator in cases:
+        _, _, reference, output, numbers = _pulse_case(config, evaluator)
         files.append(tables.write_pulse_csv(out / f"fig5_pulse_{tag}.csv", output))
         curves.append((tag, output))
         for key in ("group_index", "peak_delay_s", "stretch"):
@@ -232,8 +228,7 @@ def _run_fig5(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
 def _run_pulse_command(config: ScenarioConfig, out: Path,
                        svg: bool) -> tuple[list, dict]:
     evaluator = _raman_evaluator(config, config.pump)
-    spectrum, pulse, reference, output, numbers = _pulse_case(
-        config, evaluator, config.drive.delta / 200.0)
+    spectrum, pulse, reference, output, numbers = _pulse_case(config, evaluator)
     files = [
         tables.write_spectrum_csv(out / "pulse_spectrum.csv", spectrum),
         tables.write_pulse_csv(out / "pulse_input.csv", pulse),

@@ -151,8 +151,37 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
+def _with_trace_row(a: np.ndarray) -> np.ndarray:
+    """``a`` (a stack of dim^2 x dim^2 generators) with its (1,1) row replaced
+    by the trace functional, in place."""
+    dim = math.isqrt(a.shape[-1])
+    a[..., 0, :] = 0.0
+    a[..., 0, np.arange(dim) * (dim + 1)] = 1.0
+    return a
+
+
+def _fraction_blocks(l0, lp, lm, delta: float, st: np.ndarray, members=slice(None)):
+    """A_n = L0 -/+ i n delta + L(-/+1) S_{n+1}/T_{n+1} for n = order ... 1.
+
+    Yields (n, A_n, closing) with both sides stacked first (0: S, n > 0;
+    1: T, n < 0) and the closing drive terms (L(-1), L(+1)). ``l0`` holds
+    the given ``members`` of the batch that ``st`` covers. A_n reads
+    st[n], so the continued fraction fills st[n] before it asks for the
+    next block.
+    """
+    sign = np.array([1.0, -1.0])[:, None, None, None]
+    closing = np.stack([lm, lp])[:, None]
+    eye = np.eye(lp.shape[0])
+    order = st.shape[0]
+    for n in range(order, 0, -1):
+        a = l0 - (1j * n * delta) * sign * eye
+        if n < order:
+            a += closing @ st[n][:, members]
+        yield n, a, closing
+
+
 def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
-                        delta: float, order: int) -> np.ndarray:
+                        delta: float, order: int):
     """Harmonics of a batch of generators by the matrix continued fraction.
 
     ``l0`` is a (batch, dim^2, dim^2) stack sharing ``lp`` and ``lm``. With
@@ -165,25 +194,17 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     (L0 + L(+1) T_1 + L(-1) S_1) rho_0 = 0 with its (1,1) row replaced by
     trace(rho_0) = 1. This is the truncated balance system solved exactly
     (Risken, The Fokker-Planck Equation, ch. 9). Returns the vectorised
-    harmonics, (batch, 2 order + 1, dim^2), n ascending.
+    harmonics, (batch, 2 order + 1, dim^2), n ascending, and the tangent
+    pass of this solve (``tangent`` below).
     """
     batch, dim2, _ = l0.shape
     dim = math.isqrt(dim2)
-    # leading axis: 0 carries S (n > 0), 1 carries T (n < 0)
-    sign = np.array([1.0, -1.0])[:, None, None, None]
-    closing = np.stack([lm, lp])[:, None]
     rhs = -np.stack([lp, lm])[:, None]
-    eye = np.eye(dim2)
     st = np.empty((order, 2, batch, dim2, dim2), dtype=complex)
-    for n in range(order, 0, -1):
-        a = l0 - (1j * n * delta) * sign * eye
-        if n < order:
-            a += closing @ st[n]
+    for n, a, closing in _fraction_blocks(l0, lp, lm, delta, st):
         st[n - 1] = _solve_stack(a, rhs)
 
-    m0 = l0 + (closing @ st[0]).sum(axis=0)
-    m0[:, 0, :] = 0.0
-    m0[:, 0, np.arange(dim) * (dim + 1)] = 1.0
+    m0 = _with_trace_row(l0 + (closing @ st[0]).sum(axis=0))
     e0 = np.zeros((dim2, 1), dtype=complex)
     e0[0] = 1.0
     x = np.empty((batch, 2 * order + 1, dim2), dtype=complex)
@@ -191,7 +212,47 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     for n in range(1, order + 1):
         prev = np.stack([x[:, order + n - 1], x[:, order - n + 1]])
         x[:, order + n], x[:, order - n] = (st[n - 1] @ prev[..., None])[..., 0]
-    return x
+
+    def tangent(members, dl0: np.ndarray) -> np.ndarray:
+        """dx/dp of the given members when their L0 moves by dL0/dp = dl0.
+
+        Differentiating the truncated system M(p) x = e at fixed order
+        gives M y = -(I (x) dl0) x, with the trace row of the right-hand
+        side zero: the trace constraint does not depend on p. The
+        elimination above carries over with an inhomogeneous term. With
+        r_n = -dl0 x_n and g_{N+1} = h_{N+1} = 0,
+
+            g_n = A_n^-1 (r_n - L(-1) g_{n+1}),     y_n = S_n y_{n-1} + g_n
+            h_n = A_-n^-1 (r_-n - L(+1) h_{n+1}),   y_-n = T_n y_-(n-1) + h_n
+
+        and m0 y_0 = r_0 - L(+1) h_1 - L(-1) g_1 with trace(y_0) = 0, where
+        A_n, S_n, T_n and m0 are those formed above. Returns y,
+        (len(members), 2 order + 1, dim, dim).
+        """
+        xs = x[members]
+        count = xs.shape[0]
+        # one vector per harmonic and side, (order, 2, count, dim^2, 1):
+        # r_n and r_-n, overwritten by g_n and h_n, then by y_n and y_-n
+        w = dl0 @ np.stack([xs[:, order + 1:], xs[:, order - 1::-1]]).transpose(
+            2, 0, 1, 3)[..., None]
+        np.negative(w, out=w)
+        for n, a, closing in _fraction_blocks(l0[members], lp, lm, delta, st, members):
+            if n < order:
+                w[n - 1] -= closing @ w[n]
+            w[n - 1] = _solve_stack(a, w[n - 1])
+
+        b0 = -(dl0 @ xs[:, order, :, None]) - (closing @ w[0]).sum(axis=0)
+        b0[:, 0] = 0.0
+        y0 = _solve_stack(m0[members], b0)
+        for n in range(1, order + 1):
+            w[n - 1] += st[n - 1][:, members] @ (w[n - 2] if n > 1 else y0)
+        y = np.empty_like(xs)
+        y[:, order] = y0[..., 0]
+        y[:, order + 1:] = w[:, 0, ..., 0].swapaxes(0, 1)
+        y[:, order - 1::-1] = w[:, 1, ..., 0].swapaxes(0, 1)
+        return y.reshape(count, 2 * order + 1, dim, dim)
+
+    return x, tangent
 
 
 def _residual_errors(x: np.ndarray, l0, lp, lm, delta: float,
@@ -222,15 +283,19 @@ def _residual_errors(x: np.ndarray, l0, lp, lm, delta: float,
 
 
 def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
-                order: int) -> tuple[np.ndarray, dict[int, Exception]]:
+                order: int) -> tuple[np.ndarray, dict[int, Exception], Callable]:
     """Periodic steady states of a batch of generators at one truncation order.
 
     ``l0`` is a (batch, dim^2, dim^2) stack sharing the drive terms ``lp``
-    and ``lm``. Returns the harmonics, (batch, 2 order + 1, dim, dim), and
-    the failing members by index: DegenerateModelError when the constrained
-    system is singular, SolverError when the solution violates the
-    trace/Hermiticity invariants. A failing member does not affect the
-    others.
+    and ``lm``. Returns the harmonics, (batch, 2 order + 1, dim, dim), the
+    failing members by index and the tangent pass. The errors are
+    DegenerateModelError when the constrained system is singular and
+    SolverError when the solution violates the trace/Hermiticity
+    invariants; a failing member does not affect the others.
+    ``tangent(members, dl0)`` returns d harmonics/dp of the given members,
+    (len(members), 2 order + 1, dim, dim), when their L0 moves by
+    dL0/dp = dl0: the exact derivative of the truncated system, from the
+    continued fraction this solve formed.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -247,7 +312,7 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
                 "steady state not unique: more than one decoupled stationary "
                 "population (probe, pump and couplings all off)")
 
-    x = _continued_fraction(l0, lp, lm, delta, order)
+    x, tangent = _continued_fraction(l0, lp, lm, delta, order)
     for b, exc in _residual_errors(x, l0, lp, lm, delta, order).items():
         errors.setdefault(b, exc)
     harmonics = x.reshape(batch, 2 * order + 1, dim, dim)
@@ -255,7 +320,7 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
         if problems:
             errors.setdefault(b, SolverError(
                 "steady-state invariants violated: " + "; ".join(problems)))
-    return harmonics, errors
+    return harmonics, errors, tangent
 
 
 def solve_floquet(liouv: LiouvillianHarmonics, delta: float,
@@ -267,8 +332,8 @@ def solve_floquet(liouv: LiouvillianHarmonics, delta: float,
     the two ground populations decoupled) and SolverError when the solution
     violates the trace/Hermiticity invariants.
     """
-    harmonics, errors = solve_batch(liouv.l0[None], liouv.l_plus,
-                                    liouv.l_minus, delta, order)
+    harmonics, errors, _ = solve_batch(liouv.l0[None], liouv.l_plus,
+                                       liouv.l_minus, delta, order)
     if errors:
         raise errors[0]
     return FloquetDensity(order=order, delta=delta, harmonics=harmonics[0])
@@ -291,8 +356,8 @@ def harmonic_tail_ok(fd: FloquetDensity, rel: float = 1e-6) -> bool:
 def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
                           lp: np.ndarray, lm: np.ndarray, delta: float,
                           orders, caps,
-                          accept: Callable[[np.ndarray, int, np.ndarray], None]
-                          ) -> dict[int, Exception]:
+                          accept: Callable[..., None],
+                          dl0: np.ndarray | None = None) -> dict[int, Exception]:
     """``solve_converged`` over a batch of generators sharing the drive terms.
 
     ``l0_of(members)`` returns the (len(members), dim^2, dim^2) stack of the
@@ -300,11 +365,18 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
     order and order cap. Members at the same order are solved together in
     chunks of at most CHUNK_BYTES of continued-fraction storage, and only
     members whose harmonic tail fails move up a rung. ``accept(members,
-    order, harmonics)`` receives every accepted chunk. Returns the failing
-    members by index; ConvergenceError marks a tail still failing at the cap.
+    order, harmonics)`` receives every accepted chunk. With ``dl0``, the
+    derivative dL0/dp shared by every member, ``accept(members, order,
+    harmonics, tangents)`` also receives d harmonics/dp: one tangent pass
+    per accepted chunk at its accepted order, counted in the chunk's
+    storage. Returns the failing members by index; ConvergenceError marks a
+    tail still failing at the cap.
     """
     caps = np.asarray(caps, dtype=int)
     orders = np.minimum(np.asarray(orders, dtype=int), caps)
+    dim2 = lp.shape[0]
+    # per harmonic and side: S_n or T_n, and the tangent pass's two vectors
+    stored = dim2 * dim2 + (0 if dl0 is None else 2 * dim2)
     errors: dict[int, Exception] = {}
     pending = np.arange(orders.size)
     while pending.size:
@@ -312,16 +384,21 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
         for n in np.unique(orders[pending]):
             n = int(n)
             group = pending[orders[pending] == n]
-            chunk = max(1, CHUNK_BYTES // (2 * n * lp.size * COMPLEX_BYTES))
+            chunk = max(1, CHUNK_BYTES // (2 * n * stored * COMPLEX_BYTES))
             for start in range(0, group.size, chunk):
                 members = group[start:start + chunk]
-                harmonics, failed = solve_batch(l0_of(members), lp, lm, delta, n)
+                harmonics, failed, tangent = solve_batch(l0_of(members), lp, lm,
+                                                         delta, n)
                 ok = _tails_ok(harmonics)
                 ok[list(failed)] = False
                 for b, exc in failed.items():
                     errors[int(members[b])] = exc
                 if ok.any():
-                    accept(members[ok], n, harmonics[ok])
+                    accept(members[ok], n, harmonics[ok], *(
+                        () if dl0 is None else (tangent(np.flatnonzero(ok), dl0),)))
+                # the tangent holds this chunk's S_n and T_n: free them
+                # before the next chunk forms its own
+                del tangent
                 for b in np.flatnonzero(~ok):
                     member = int(members[b])
                     if member in errors:
@@ -514,12 +591,9 @@ def steady_state_static_batch(l0: np.ndarray) -> tuple[np.ndarray, dict[int, Deg
     """
     batch, dim2, _ = l0.shape
     dim = math.isqrt(dim2)
-    a = l0.copy()
-    a[:, 0, :] = 0.0
-    a[:, 0, np.arange(dim) * (dim + 1)] = 1.0
     rhs = np.zeros((dim2, 1), dtype=complex)
     rhs[0] = 1.0
-    x = _solve_stack(a, rhs)[..., 0]
+    x = _solve_stack(_with_trace_row(l0.copy()), rhs)[..., 0]
     res = (l0 @ x[..., None])[..., 0]
     res[:, 0] = 0.0
     scale = (np.maximum(1.0, np.abs(l0).sum(axis=2).max(axis=1))
@@ -530,6 +604,19 @@ def steady_state_static_batch(l0: np.ndarray) -> tuple[np.ndarray, dict[int, Deg
                   "static steady state is singular or ill-conditioned")
               for b in np.flatnonzero(~good)}
     return x.reshape(batch, dim, dim), errors
+
+
+def steady_state_static_tangent(l0: np.ndarray, rho: np.ndarray,
+                                dl0: np.ndarray) -> np.ndarray:
+    """d rho/dp of the static steady states ``rho`` of the stack ``l0``.
+
+    With dL0/dp = dl0, differentiating L0 rho = 0, trace(rho) = 1 gives the
+    same constrained system with right-hand side -dl0 rho and a zero trace
+    row: one more stacked solve. Returns the derivatives shaped like rho.
+    """
+    b = -(dl0 @ rho.reshape(l0.shape[0], -1, 1))
+    b[:, 0] = 0.0
+    return _solve_stack(_with_trace_row(l0.copy()), b).reshape(rho.shape)
 
 
 def steady_state_static(l0: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .atom import (AtomicSystem, DriveConfig, PumpModel, build_liouvillian,
                    detuning_generators, dissipator_superop,
                    hamiltonian_superop, ketbra)
 from .floquet import (MAX_ORDER, solve_converged_batch,
-                      steady_state_static_batch)
+                      steady_state_static_batch, steady_state_static_tangent)
 
 GAMMA3_RB87_D1 = 2.0 * math.pi * 5.75e6      # rad/s, natural linewidth of the line
 WAVELENGTH_RB87_D1 = 794.98e-9               # m
@@ -233,15 +233,19 @@ def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
     The evaluator takes a scalar detuning (and returns a complex) or an
     array (and returns a complex array of its shape), solved as one batch.
     A failing scalar raises its solver error; failing array points raise a
-    ScanError naming each failing detuning.
+    ScanError naming each failing detuning. Its attribute ``tangent`` takes
+    the same input and returns (chi, d chi / d(detuning)) from the same
+    batch: the exact derivative of the truncated system at each point's
+    accepted order, by one tangent pass of the continued fraction.
 
     The generator is affine in the two-photon detuning and the Doppler
     shift, so it is assembled once. Every solve runs the
     ``solve_converged`` ladder. Stationary points start at the highest
     order it settles at over the scan centre and the two Raman resonances,
     so evaluations are independent and deterministic. With a DopplerConfig
-    the evaluator velocity-averages; velocity classes start at
-    ``_resonant_order_guess`` and may climb to DOPPLER_ORDER_CAP.
+    the evaluator velocity-averages chi (and its derivative, on the same
+    nodes); velocity classes start at ``_resonant_order_guess`` and may
+    climb to DOPPLER_ORDER_CAP.
     """
     if drive.omega_p == 0:
         raise ValueError("probe must be on: chi is defined relative to omega_p")
@@ -249,43 +253,39 @@ def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
     per_d2, per_shift = detuning_generators()
     s31, s41 = system.dipole_signs[0], system.dipole_signs[1]
 
-    def solve(d2: np.ndarray, shift: np.ndarray, orders, caps):
-        """chi at each (d2, shift) pair (NaN where failing), orders and errors."""
-        chi = np.full(d2.size, np.nan, dtype=complex)
+    def solve(d2: np.ndarray, shift: np.ndarray, orders, caps, with_tangent: bool):
+        """chi at each (d2, shift) pair, with ``with_tangent`` stacked on its
+        d2 derivative (NaN where failing), the accepted orders and the errors."""
+        values = np.full((1 + with_tangent, d2.size), np.nan, dtype=complex)
         accepted = np.zeros(d2.size, dtype=int)
 
-        def accept(members, order, harmonics):
-            rho0 = harmonics[:, order]
-            chi[members] = (rho0[:, 2, 0] / (s31 * drive.omega_p)
-                            + rho0[:, 3, 0] / (s41 * drive.omega_p))
+        def accept(members, order, *found):
+            for row, harmonics in zip(values, found):
+                rho0 = harmonics[:, order]
+                row[members] = (rho0[:, 2, 0] / (s31 * drive.omega_p)
+                                + rho0[:, 3, 0] / (s41 * drive.omega_p))
             accepted[members] = order
 
         errors = solve_converged_batch(
             lambda m: (liouv.l0 + d2[m, None, None] * per_d2
                        + shift[m, None, None] * per_shift),
-            liouv.l_plus, liouv.l_minus, drive.delta, orders, caps, accept)
-        return chi, accepted, errors
+            liouv.l_plus, liouv.l_minus, drive.delta, orders, caps, accept,
+            per_d2 if with_tangent else None)
+        return values, accepted, errors
 
     anchors = np.array([0.0, drive.delta, -drive.delta])
     _, orders, errors = solve(anchors, np.zeros(3), np.ones(3, dtype=int),
-                              np.full(3, MAX_ORDER))
+                              np.full(3, MAX_ORDER), False)
     if errors:
         raise errors[min(errors)]
     base = int(orders.max())
 
-    def stationary(d2):
-        points = np.asarray(d2, dtype=float)
-        flat = points.reshape(-1)
-        chi, _, errors = solve(flat, np.zeros(flat.size), np.full(flat.size, base),
-                               np.full(flat.size, MAX_ORDER))
-        return _point_values(points, chi, errors)
+    def stationary(flat: np.ndarray, with_tangent: bool):
+        values, _, errors = solve(flat, np.zeros(flat.size), np.full(flat.size, base),
+                                  np.full(flat.size, MAX_ORDER), with_tangent)
+        return values, errors
 
-    if doppler is None:
-        return stationary
-
-    def averaged(d2):
-        points = np.asarray(d2, dtype=float)
-        flat = points.reshape(-1)
+    def averaged(flat: np.ndarray, with_tangent: bool):
         point_errors: dict[int, Exception] = {}
 
         def at_shifts(shifts: np.ndarray) -> np.ndarray:
@@ -293,16 +293,29 @@ def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
                      if s else base for s in shifts]
             caps = [DOPPLER_ORDER_CAP if s else MAX_ORDER for s in shifts]
             d2s, ss = np.broadcast_arrays(flat[:, None], shifts[None, :])
-            chi, _, errors = solve(d2s.ravel(), ss.ravel(),
-                                   np.tile(seeds, flat.size), np.tile(caps, flat.size))
+            values, _, errors = solve(d2s.ravel(), ss.ravel(), np.tile(seeds, flat.size),
+                                      np.tile(caps, flat.size), with_tangent)
             for i in sorted(errors):
                 point_errors.setdefault(i // shifts.size, errors[i])
-            return chi.reshape(d2s.shape)
+            return values.reshape((-1,) + d2s.shape)
 
-        return _point_values(points, doppler_average(at_shifts, doppler),
-                             point_errors)
+        return doppler_average(at_shifts, doppler), point_errors
 
-    return averaged
+    values_of = stationary if doppler is None else averaged
+
+    def evaluator(d2):
+        points = np.asarray(d2, dtype=float)
+        values, errors = values_of(points.reshape(-1), False)
+        return _point_values(points, values[0], errors)
+
+    def tangent(d2):
+        points = np.asarray(d2, dtype=float)
+        values, errors = values_of(points.reshape(-1), True)
+        return (_point_values(points, values[0], errors),
+                _point_values(points, values[1], {}))
+
+    evaluator.tangent = tangent
+    return evaluator
 
 
 def susceptibility(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
@@ -329,12 +342,12 @@ def dispersion_slope(chi_source, x0: float, step: float,
                      check_tol: float = 1e-4) -> float:
     """d Re(chi_s) / d(detuning) by central differences with step halving.
 
-    ``chi_source`` is either a callable of the two-photon detuning or a
-    SusceptibilitySpectrum (interpolated cubically). The coarse and halved
-    central differences must agree to ``check_tol`` relative, otherwise a
-    NonSmoothPointWarning is emitted; the Richardson combination of the two
-    is returned. A step of delta/200 resolves the Raman features at the
-    presets.
+    The finite-difference cross-check of an evaluator's exact ``tangent``,
+    and the slope of sources that have none. ``chi_source`` is either a
+    callable of the two-photon detuning or a SusceptibilitySpectrum
+    (interpolated cubically). The coarse and halved central differences
+    must agree to ``check_tol`` relative, otherwise a NonSmoothPointWarning
+    is emitted; the Richardson combination of the two is returned.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -379,11 +392,10 @@ def group_index(chi_s: complex, slope_s: float, scale: PhysicalScale,
 def group_index_at(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
                    scale: PhysicalScale, doppler: DopplerConfig | None = None,
                    delta2: float = 0.0) -> GroupIndexResult:
-    """Group index at one operating point, slope step delta / 200."""
-    evaluator = make_chi_evaluator(system, drive, pump, doppler=doppler)
-    chi_s = evaluator(delta2)
-    slope_s = dispersion_slope(evaluator, delta2, drive.delta / 200.0)
-    return group_index(chi_s, slope_s, scale)
+    """Group index at one operating point, from the evaluator's exact tangent."""
+    chi_s, dchi_s = make_chi_evaluator(system, drive, pump,
+                                       doppler=doppler).tangent(delta2)
+    return group_index(chi_s, dchi_s.real, scale)
 
 
 def doppler_average(evaluate_at_shift: Callable[[float], complex],
@@ -469,19 +481,31 @@ def eit_susceptibility(config: ThreeLevelConfig, delta_p: float) -> complex:
 def make_eit_evaluator(config: ThreeLevelConfig) -> Callable:
     """chi_s as a function of probe detuning (= two-photon detuning here).
 
-    Takes a scalar or an array like ``make_chi_evaluator``'s evaluators.
-    The generator is affine in the probe detuning (only the level shifts
-    -delta_p of |2> and |3> move), so it is assembled once.
+    Takes a scalar or an array, and has a ``tangent``, like
+    ``make_chi_evaluator``'s evaluators. The generator is affine in the
+    probe detuning (only the level shifts -delta_p of |2> and |3> move), so
+    it is assembled once.
     """
     l0 = _eit_liouvillian(config)
     per_delta_p = hamiltonian_superop(np.diag([0.0, -1.0, -1.0]).astype(complex))
 
-    def evaluate(delta_p):
+    def solve(delta_p):
         points = np.asarray(delta_p, dtype=float)
-        flat = points.reshape(-1)
-        rho, errors = steady_state_static_batch(l0 + flat[:, None, None] * per_delta_p)
+        l0s = l0 + points.reshape(-1)[:, None, None] * per_delta_p
+        rho, errors = steady_state_static_batch(l0s)
+        return points, l0s, rho, errors
+
+    def evaluate(delta_p):
+        points, _, rho, errors = solve(delta_p)
         return _point_values(points, rho[:, 2, 0] / config.omega_p, errors)
 
+    def tangent(delta_p):
+        points, l0s, rho, errors = solve(delta_p)
+        drho = steady_state_static_tangent(l0s, rho, per_delta_p)
+        return (_point_values(points, rho[:, 2, 0] / config.omega_p, errors),
+                _point_values(points, drho[:, 2, 0] / config.omega_p, {}))
+
+    evaluate.tangent = tangent
     return evaluate
 
 

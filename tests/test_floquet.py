@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
-                             PumpModel, build_liouvillian, ketbra)
+                             PumpModel, build_liouvillian,
+                             detuning_generators, ketbra)
 from ramanlight import floquet
 from ramanlight.floquet import (ConvergenceError, _assemble_dense,
                                 choose_truncation, extract_dc_coherences,
@@ -28,15 +30,31 @@ def dense_harmonics(liouv, delta, order):
     return np.linalg.solve(a, b).reshape(2 * order + 1, 4, 4)
 
 
-def assert_matches_dense(fd, liouv):
-    """Every harmonic within 1e-12 of rho_0; the non-negligible ones (above
-    the 1e-6 tail threshold) also within 1e-12 of their own size."""
-    dense = dense_harmonics(liouv, fd.delta, fd.order)
+def dense_tangent(liouv, delta, order, dl0):
+    """dx/dp of the dense truncated system A x = e when dL0/dp = dl0:
+    A y = -(I (x) dl0) x with the trace row of the right-hand side zero."""
+    a, b = _assemble_dense(liouv.l0, liouv.l_plus, liouv.l_minus, delta, order)
+    lu = scipy.linalg.lu_factor(a)
+    x = scipy.linalg.lu_solve(lu, b).reshape(2 * order + 1, -1)
+    rhs = -(x @ dl0.T).reshape(-1)
+    rhs[order * dl0.shape[0]] = 0.0
+    return scipy.linalg.lu_solve(lu, rhs).reshape(2 * order + 1, 4, 4)
+
+
+def assert_harmonics_close(got, dense, rel):
+    """Every harmonic within ``rel`` of the zeroth; the non-negligible ones
+    (above the 1e-6 tail threshold) also within ``rel`` of their own size."""
+    order = (dense.shape[0] - 1) // 2
     size = np.abs(dense).max(axis=(1, 2))
-    dev = np.abs(fd.harmonics - dense).max(axis=(1, 2))
-    assert dev.max() <= 1e-12 * size[fd.order]
-    significant = size >= 1e-6 * size[fd.order]
-    assert np.all(dev[significant] <= 1e-12 * size[significant])
+    dev = np.abs(got - dense).max(axis=(1, 2))
+    assert dev.max() <= rel * size[order]
+    significant = size >= 1e-6 * size[order]
+    assert np.all(dev[significant] <= rel * size[significant])
+
+
+def assert_matches_dense(fd, liouv):
+    assert_harmonics_close(fd.harmonics, dense_harmonics(liouv, fd.delta, fd.order),
+                           1e-12)
 
 
 class TestContinuedFraction:
@@ -58,7 +76,7 @@ class TestContinuedFraction:
         paper = liouvillian()
         stack = np.stack([paper.l0, shifted.l0, paper.l0])
         stack[2] = np.nan        # one unusable member
-        harmonics, errors = solve_batch(stack, paper.l_plus, paper.l_minus, 0.2, 10)
+        harmonics, errors, _ = solve_batch(stack, paper.l_plus, paper.l_minus, 0.2, 10)
         assert list(errors) == [2]
         assert isinstance(errors[2], DegenerateModelError)
         for b, liouv in ((0, paper), (1, shifted)):
@@ -83,6 +101,40 @@ class TestContinuedFraction:
         order, harmonics = accepted[0]
         assert order == 10
         assert np.array_equal(harmonics, solve_converged(paper, 0.2).harmonics)
+
+
+class TestTangent:
+    """The tangent pass against the derivative of the dense truncated system."""
+
+    @staticmethod
+    def assert_matches_dense_tangent(liouv, order):
+        per_d2 = detuning_generators()[0]
+        _, errors, tangent = solve_batch(liouv.l0[None], liouv.l_plus,
+                                         liouv.l_minus, 0.2, order)
+        assert not errors
+        assert_harmonics_close(tangent([0], per_d2)[0],
+                               dense_tangent(liouv, 0.2, order, per_d2), 1e-10)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    @pytest.mark.parametrize("order", [1, 10, 14])
+    def test_matches_dense_derivative(self, order, rate):
+        self.assert_matches_dense_tangent(liouvillian(rate=rate), order)
+
+    def test_doppler_shifted_class_at_high_order(self):
+        liouv = liouvillian(PAPER_DRIVE.doppler_shifted(-60.0), rate=0.2)
+        self.assert_matches_dense_tangent(liouv, 120)
+
+    def test_members_of_a_batch(self):
+        # the tangent of a subset equals the tangent of each member alone
+        per_d2 = detuning_generators()[0]
+        paper = liouvillian()
+        stack = np.stack([paper.l0, liouvillian(rate=0.4).l0, paper.l0 + 0.1 * per_d2])
+        _, _, tangent = solve_batch(stack, paper.l_plus, paper.l_minus, 0.2, 10)
+        subset = tangent(np.array([0, 2]), per_d2)
+        for row, b in enumerate((0, 2)):
+            _, _, alone = solve_batch(stack[b:b + 1], paper.l_plus, paper.l_minus,
+                                      0.2, 10)
+            assert np.array_equal(subset[row], alone([0], per_d2)[0])
 
 
 class TestSolveFloquet:

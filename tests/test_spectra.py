@@ -1,11 +1,14 @@
 """Susceptibility, dispersion, group index, Doppler averaging, EIT."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ramanlight import floquet
+from ramanlight.cli import _eit_config
+from ramanlight.config import ScenarioConfig, preset
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian)
 from ramanlight.floquet import extract_dc_coherences, solve_floquet
@@ -164,6 +167,21 @@ class TestScan:
         monkeypatch.setattr(floquet, "CHUNK_BYTES", 3 * 2 * 10 * 256 * 16)
         assert np.array_equal(evaluator(grid[45:60]), scan[45:60])
 
+    def test_tangent_independent_of_batch_and_chunk(self, monkeypatch):
+        evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
+        grid = np.linspace(-1.0, 1.0, 2001)
+        chi, dchi = evaluator.tangent(grid)
+        assert np.array_equal(chi, evaluator(grid))
+        # members at order 10 with the tangent's two vectors per harmonic
+        member = 2 * 10 * (256 + 2 * 16) * 16
+        chunk = floquet.CHUNK_BYTES // member
+        for i in (0, chunk - 1, chunk, 1000, 1337, 2000):
+            assert evaluator.tangent(grid[i]) == (chi[i], dchi[i])
+        monkeypatch.setattr(floquet, "CHUNK_BYTES", 3 * member)
+        chunked = evaluator.tangent(grid[45:60])
+        assert np.array_equal(chunked[0], chi[45:60])
+        assert np.array_equal(chunked[1], dchi[45:60])
+
     def test_doppler_value_independent_of_batch(self):
         config = DopplerConfig(nodes=16)
         evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0),
@@ -205,6 +223,65 @@ class TestDispersionSlope:
         grid = np.linspace(-1.0, 1.0, 201)
         spectrum = SusceptibilitySpectrum(grid=grid, chi=2.0 * grid + 0j)
         assert dispersion_slope(spectrum, 0.0, 0.01) == pytest.approx(2.0)
+
+
+def _preset_centre_cases():
+    """(label, evaluator, Richardson step) at every preset's scan centre."""
+    cases = []
+    for name in ("fig2a", "fig2c", "fig3a", "fig3c", "fig4", "fig5"):
+        config = preset(name)
+        step = config.drive.delta / 200.0
+        for pump in (PumpModel.direct(0.0), config.pump):
+            cases.append((f"{name} r{pump.rate():g}", make_chi_evaluator(
+                config.system, config.drive, pump), step))
+    fig5 = preset("fig5")
+    for omega_c in (0.5, 1.0):
+        cases.append((f"fig5 eit {omega_c:g}",
+                      make_eit_evaluator(_eit_config(fig5, omega_c)), 1e-3))
+    sweep = ScenarioConfig(scenario="sweep")
+    for rate in np.linspace(0.0, 0.5, 15):
+        cases.append((f"sweep r{rate:.4f}", make_chi_evaluator(
+            sweep.system, sweep.drive, PumpModel.direct(rate)),
+            sweep.drive.delta / 200.0))
+    return cases
+
+
+class TestTangentSlope:
+    def test_matches_richardson_at_every_preset_point(self):
+        for label, evaluator, step in _preset_centre_cases():
+            chi, dchi = evaluator.tangent(0.0)
+            assert chi == evaluator(0.0), label
+            assert dchi.real == pytest.approx(dispersion_slope(evaluator, 0.0, step),
+                                              rel=1e-7), label
+
+    def test_matches_richardson_on_fig6_doppler_point(self):
+        fig6 = preset("fig6")
+        evaluator = make_chi_evaluator(fig6.system, fig6.drive, PumpModel.direct(0.0),
+                                       doppler=fig6.doppler)
+        _, dchi = evaluator.tangent(0.0)
+        assert dchi.real == pytest.approx(
+            dispersion_slope(evaluator, 0.0, fig6.drive.delta / 200.0), rel=1e-7)
+
+    def test_eit_tangent_matches_central_difference(self):
+        evaluator = make_eit_evaluator(ThreeLevelConfig(omega_c=0.5))
+        h = 1e-5
+        for dp in (0.0, 0.03, -0.2):
+            chi, dchi = evaluator.tangent(dp)
+            assert chi == evaluator(dp)
+            central = (evaluator(dp + h) - evaluator(dp - h)) / (2.0 * h)
+            assert abs(dchi - central) <= 1e-6 * abs(dchi)
+
+    def test_sweep_and_fig6_group_index_raise_no_warning(self):
+        # dispersion_slope's step-halving check warns on both: at rate 0.107,
+        # where the slope is near zero, and at the Doppler point
+        sweep = ScenarioConfig(scenario="sweep")
+        fig6 = preset("fig6")
+        scale = physical_scale(5e17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pump_sweep(sweep.system, sweep.drive, np.linspace(0.0, 0.5, 15), scale)
+            group_index_at(fig6.system, fig6.drive, PumpModel.direct(0.0), scale,
+                           doppler=fig6.doppler)
 
 
 class TestGroupIndex:
