@@ -19,7 +19,10 @@ Real and imaginary parts, named ``re_X`` / ``im_X`` (columns) or
 value as their scale, so a part that vanishes by symmetry (the centre
 Re chi) is measured against |chi|, not against itself.
 
-Exits 1 when a deviation exceeds TOL or the two directories hold different
+A NaN on one side only counts as an infinite deviation; NaN on both sides
+at the same place (an undefined crossing, say) counts as equal.
+
+Exits 1 when a deviation exceeds --rel or the two directories hold different
 CSV files, else 0. Uses numpy and the standard library only.
 """
 
@@ -71,9 +74,13 @@ def deviation(path_a: Path, path_b: Path) -> float:
             return float("inf")
         diff = np.abs(a - b)
         if metrics:
-            ratio = diff / np.maximum(scales[name], np.finfo(float).tiny)
+            ratio = diff / np.fmax(scales[name], np.finfo(float).tiny)
         else:
-            ratio = diff / max(scales[name].max(initial=0.0), np.finfo(float).tiny)
+            ratio = diff / max(np.nanmax(scales[name], initial=0.0),
+                               np.finfo(float).tiny)
+        # NaN on one side only is a deviation; NaN on both sides is a match
+        ratio[np.isnan(ratio)] = np.inf
+        ratio[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
         worst = max(worst, float(ratio.max(initial=0.0)))
     return worst
 

@@ -14,7 +14,7 @@ from .atom import (AtomicSystem, DegenerateModelError, DriveConfig,
 from .floquet import (ConvergenceError, FloquetDensity, SolverError, TimeTrace,
                       choose_truncation, extract_dc_coherences,
                       integrate_to_period_average, solve_converged,
-                      solve_floquet, steady_state_static)
+                      solve_floquet)
 from .spectra import (BranchCutError, DopplerConfig, GroupIndexResult,
                       PhysicalScale, SusceptibilitySpectrum, ThreeLevelConfig,
                       dispersion_slope, doppler_average, eit_susceptibility,

@@ -151,15 +151,6 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def _with_trace_row(a: np.ndarray) -> np.ndarray:
-    """``a`` (a stack of dim^2 x dim^2 generators) with its (1,1) row replaced
-    by the trace functional, in place."""
-    dim = math.isqrt(a.shape[-1])
-    a[..., 0, :] = 0.0
-    a[..., 0, np.arange(dim) * (dim + 1)] = 1.0
-    return a
-
-
 def _fraction_blocks(l0, lp, lm, delta: float, st: np.ndarray, members=slice(None)):
     """A_n = L0 -/+ i n delta + L(-/+1) S_{n+1}/T_{n+1} for n = order ... 1.
 
@@ -204,7 +195,9 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     for n, a, closing in _fraction_blocks(l0, lp, lm, delta, st):
         st[n - 1] = _solve_stack(a, rhs)
 
-    m0 = _with_trace_row(l0 + (closing @ st[0]).sum(axis=0))
+    m0 = l0 + (closing @ st[0]).sum(axis=0)
+    m0[:, 0] = 0.0
+    m0[:, 0, np.arange(dim) * (dim + 1)] = 1.0
     e0 = np.zeros((dim2, 1), dtype=complex)
     e0[0] = 1.0
     x = np.empty((batch, 2 * order + 1, dim2), dtype=complex)
@@ -581,47 +574,3 @@ def integrate_to_period_average(
     raise ConvergenceError(
         f"no periodic steady state within {horizon} periods "
         f"(last change {changes[-1] if changes else float('nan'):.3e}, tol {tol:g})")
-
-
-def steady_state_static_batch(l0: np.ndarray) -> tuple[np.ndarray, dict[int, DegenerateModelError]]:
-    """Steady states of a (batch, dim^2, dim^2) stack of static generators.
-
-    Each member solves L0 rho = 0 with trace(rho) = 1. Returns the states,
-    (batch, dim, dim), and the failing members by index.
-    """
-    batch, dim2, _ = l0.shape
-    dim = math.isqrt(dim2)
-    rhs = np.zeros((dim2, 1), dtype=complex)
-    rhs[0] = 1.0
-    x = _solve_stack(_with_trace_row(l0.copy()), rhs)[..., 0]
-    res = (l0 @ x[..., None])[..., 0]
-    res[:, 0] = 0.0
-    scale = (np.maximum(1.0, np.abs(l0).sum(axis=2).max(axis=1))
-             * np.maximum(1.0, np.abs(x).max(axis=1)))
-    good = ((np.abs(res).max(axis=1) <= 1e-8 * scale)
-            & (np.abs(x[:, ::dim + 1].sum(axis=1) - 1.0) <= 1e-8))
-    errors = {int(b): DegenerateModelError(
-                  "static steady state is singular or ill-conditioned")
-              for b in np.flatnonzero(~good)}
-    return x.reshape(batch, dim, dim), errors
-
-
-def steady_state_static_tangent(l0: np.ndarray, rho: np.ndarray,
-                                dl0: np.ndarray) -> np.ndarray:
-    """d rho/dp of the static steady states ``rho`` of the stack ``l0``.
-
-    With dL0/dp = dl0, differentiating L0 rho = 0, trace(rho) = 1 gives the
-    same constrained system with right-hand side -dl0 rho and a zero trace
-    row: one more stacked solve. Returns the derivatives shaped like rho.
-    """
-    b = -(dl0 @ rho.reshape(l0.shape[0], -1, 1))
-    b[:, 0] = 0.0
-    return _solve_stack(_with_trace_row(l0.copy()), b).reshape(rho.shape)
-
-
-def steady_state_static(l0: np.ndarray) -> np.ndarray:
-    """Steady state of a static generator: L0 rho = 0 with trace(rho) = 1."""
-    rho, errors = steady_state_static_batch(l0[None])
-    if errors:
-        raise errors[0]
-    return rho[0]

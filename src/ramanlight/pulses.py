@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.constants as const
 
-from .spectra import BranchCutError, PhysicalScale, SusceptibilitySpectrum
+from .spectra import (BranchCutError, PhysicalScale, SusceptibilitySpectrum,
+                      _half_max_crossings)
 
 
 class WindowError(ValueError):
@@ -158,20 +159,8 @@ def _peak_time(times: np.ndarray, intensity: np.ndarray) -> float:
 
 def _fwhm(times: np.ndarray, intensity: np.ndarray) -> float:
     """Full width at half maximum by linear interpolation of the crossings."""
-    i = int(np.argmax(intensity))
-    half = 0.5 * intensity[i]
-    left = None
-    for j in range(i, 0, -1):
-        if intensity[j - 1] <= half < intensity[j]:
-            frac = (intensity[j] - half) / (intensity[j] - intensity[j - 1])
-            left = times[j] - frac * (times[j] - times[j - 1])
-            break
-    right = None
-    for j in range(i, intensity.size - 1):
-        if intensity[j + 1] <= half < intensity[j]:
-            frac = (intensity[j] - half) / (intensity[j] - intensity[j + 1])
-            right = times[j] + frac * (times[j + 1] - times[j])
-            break
+    left, right = _half_max_crossings(times, intensity, int(np.argmax(intensity)),
+                                      0, intensity.size - 1)
     if left is None or right is None:
         raise NoPeakError("half-maximum crossings not inside the window")
     return float(right - left)

@@ -21,8 +21,7 @@ from scipy.interpolate import CubicSpline
 from .atom import (AtomicSystem, DriveConfig, PumpModel, build_liouvillian,
                    detuning_generators, dissipator_superop,
                    hamiltonian_superop, ketbra)
-from .floquet import (MAX_ORDER, solve_converged_batch,
-                      steady_state_static_batch, steady_state_static_tangent)
+from .floquet import MAX_ORDER, solve_converged_batch
 
 GAMMA3_RB87_D1 = 2.0 * math.pi * 5.75e6      # rad/s, natural linewidth of the line
 WAVELENGTH_RB87_D1 = 794.98e-9               # m
@@ -187,27 +186,75 @@ class ThreeLevelConfig:
     def __post_init__(self):
         if self.omega_c < 0 or self.omega_p <= 0:
             raise ValueError("omega_c must be >= 0 and omega_p positive")
+        if min(self.gamma31, self.gamma32, self.gamma2_deph, self.gamma3_deph) < 0:
+            raise ValueError("decay and dephasing rates must be >= 0")
 
 
 # ---------------------------------------------------------------------------
 # point evaluation
 
-def _point_values(points: np.ndarray, values: np.ndarray,
-                  errors: dict[int, Exception]):
-    """An evaluator's answer at a scalar or an array of detunings.
+def _batch_solver(l0: np.ndarray, per_d2: np.ndarray, per_shift: np.ndarray,
+                  lp: np.ndarray, lm: np.ndarray, delta: float,
+                  readout: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """chi of the generators L0 + d2 per_d2 + s per_shift, all driven by
+    ``lp`` and ``lm`` at frequency ``delta``.
 
-    ``values`` and ``errors`` (by flat index) cover ``points.ravel()``. A
-    failing scalar raises its own error; failing array points raise one
-    ScanError naming each of them.
+    ``solve(d2, shift, orders, caps, with_tangent)`` runs the
+    ``solve_converged_batch`` ladder from the given seed orders and caps
+    and returns chi = ``readout`` (a stack of zeroth harmonics) at each
+    (d2, shift) pair, with ``with_tangent`` stacked on its d2 derivative
+    (NaN where failing), the accepted orders and the errors by index.
     """
-    if errors:
+    def solve(d2: np.ndarray, shift: np.ndarray, orders, caps, with_tangent: bool):
+        values = np.full((1 + with_tangent, d2.size), np.nan, dtype=complex)
+        accepted = np.zeros(d2.size, dtype=int)
+
+        def accept(members, order, *found):
+            for row, harmonics in zip(values, found):
+                row[members] = readout(harmonics[:, order])
+            accepted[members] = order
+
+        errors = solve_converged_batch(
+            lambda m: l0 + d2[m, None, None] * per_d2 + shift[m, None, None] * per_shift,
+            lp, lm, delta, orders, caps, accept, per_d2 if with_tangent else None)
+        return values, accepted, errors
+
+    return solve
+
+
+def _evaluator(values_of: Callable) -> Callable:
+    """A scalar-or-array chi evaluator with its ``tangent`` attribute.
+
+    ``values_of(flat, with_tangent)`` returns the values at the flat
+    detunings (chi, and with ``with_tangent`` its derivative stacked
+    below) and the failing points by index. A failing scalar raises its
+    own error; failing array points raise one ScanError naming each of
+    them.
+    """
+    def point_values(points: np.ndarray, values: np.ndarray,
+                     errors: dict[int, Exception]):
+        if errors:
+            if points.ndim == 0:
+                raise errors[min(errors)]
+            flat = points.reshape(-1)
+            raise ScanError([(float(flat[i]), errors[i]) for i in sorted(errors)])
         if points.ndim == 0:
-            raise errors[min(errors)]
-        flat = points.reshape(-1)
-        raise ScanError([(float(flat[i]), errors[i]) for i in sorted(errors)])
-    if points.ndim == 0:
-        return complex(values[0])
-    return values.reshape(points.shape)
+            return complex(values[0])
+        return values.reshape(points.shape)
+
+    def evaluator(d2):
+        points = np.asarray(d2, dtype=float)
+        values, errors = values_of(points.reshape(-1), False)
+        return point_values(points, values[0], errors)
+
+    def tangent(d2):
+        points = np.asarray(d2, dtype=float)
+        values, errors = values_of(points.reshape(-1), True)
+        return (point_values(points, values[0], errors),
+                point_values(points, values[1], {}))
+
+    evaluator.tangent = tangent
+    return evaluator
 
 
 def _resonant_order_guess(system: AtomicSystem, drive: DriveConfig,
@@ -253,25 +300,10 @@ def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
     per_d2, per_shift = detuning_generators()
     s31, s41 = system.dipole_signs[0], system.dipole_signs[1]
 
-    def solve(d2: np.ndarray, shift: np.ndarray, orders, caps, with_tangent: bool):
-        """chi at each (d2, shift) pair, with ``with_tangent`` stacked on its
-        d2 derivative (NaN where failing), the accepted orders and the errors."""
-        values = np.full((1 + with_tangent, d2.size), np.nan, dtype=complex)
-        accepted = np.zeros(d2.size, dtype=int)
-
-        def accept(members, order, *found):
-            for row, harmonics in zip(values, found):
-                rho0 = harmonics[:, order]
-                row[members] = (rho0[:, 2, 0] / (s31 * drive.omega_p)
-                                + rho0[:, 3, 0] / (s41 * drive.omega_p))
-            accepted[members] = order
-
-        errors = solve_converged_batch(
-            lambda m: (liouv.l0 + d2[m, None, None] * per_d2
-                       + shift[m, None, None] * per_shift),
-            liouv.l_plus, liouv.l_minus, drive.delta, orders, caps, accept,
-            per_d2 if with_tangent else None)
-        return values, accepted, errors
+    solve = _batch_solver(
+        liouv.l0, per_d2, per_shift, liouv.l_plus, liouv.l_minus, drive.delta,
+        lambda rho0: (rho0[:, 2, 0] / (s31 * drive.omega_p)
+                      + rho0[:, 3, 0] / (s41 * drive.omega_p)))
 
     anchors = np.array([0.0, drive.delta, -drive.delta])
     _, orders, errors = solve(anchors, np.zeros(3), np.ones(3, dtype=int),
@@ -301,21 +333,7 @@ def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
 
         return doppler_average(at_shifts, doppler), point_errors
 
-    values_of = stationary if doppler is None else averaged
-
-    def evaluator(d2):
-        points = np.asarray(d2, dtype=float)
-        values, errors = values_of(points.reshape(-1), False)
-        return _point_values(points, values[0], errors)
-
-    def tangent(d2):
-        points = np.asarray(d2, dtype=float)
-        values, errors = values_of(points.reshape(-1), True)
-        return (_point_values(points, values[0], errors),
-                _point_values(points, values[1], {}))
-
-    evaluator.tangent = tangent
-    return evaluator
+    return _evaluator(stationary if doppler is None else averaged)
 
 
 def susceptibility(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
@@ -482,31 +500,24 @@ def make_eit_evaluator(config: ThreeLevelConfig) -> Callable:
     """chi_s as a function of probe detuning (= two-photon detuning here).
 
     Takes a scalar or an array, and has a ``tangent``, like
-    ``make_chi_evaluator``'s evaluators. The generator is affine in the
-    probe detuning (only the level shifts -delta_p of |2> and |3> move), so
-    it is assembled once.
+    ``make_chi_evaluator``'s evaluators, from the same ladder. The
+    generator is affine in the probe detuning (only the level shifts
+    -delta_p of |2> and |3> move), so it is assembled once. Without drive
+    terms every harmonic but the zeroth vanishes, so order 1 (at any
+    positive frequency) solves L0 rho = 0 with trace(rho) = 1.
     """
     l0 = _eit_liouvillian(config)
     per_delta_p = hamiltonian_superop(np.diag([0.0, -1.0, -1.0]).astype(complex))
+    no_drive = np.zeros_like(l0)
+    solve = _batch_solver(l0, per_delta_p, no_drive, no_drive, no_drive, 1.0,
+                          lambda rho0: rho0[:, 2, 0] / config.omega_p)
 
-    def solve(delta_p):
-        points = np.asarray(delta_p, dtype=float)
-        l0s = l0 + points.reshape(-1)[:, None, None] * per_delta_p
-        rho, errors = steady_state_static_batch(l0s)
-        return points, l0s, rho, errors
+    def values_of(flat: np.ndarray, with_tangent: bool):
+        first = np.ones(flat.size, dtype=int)
+        values, _, errors = solve(flat, np.zeros(flat.size), first, first, with_tangent)
+        return values, errors
 
-    def evaluate(delta_p):
-        points, _, rho, errors = solve(delta_p)
-        return _point_values(points, rho[:, 2, 0] / config.omega_p, errors)
-
-    def tangent(delta_p):
-        points, l0s, rho, errors = solve(delta_p)
-        drho = steady_state_static_tangent(l0s, rho, per_delta_p)
-        return (_point_values(points, rho[:, 2, 0] / config.omega_p, errors),
-                _point_values(points, drho[:, 2, 0] / config.omega_p, {}))
-
-    evaluate.tangent = tangent
-    return evaluate
+    return _evaluator(values_of)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +526,27 @@ def make_eit_evaluator(config: ThreeLevelConfig) -> Callable:
 def _strict_maxima(y: np.ndarray) -> np.ndarray:
     """Indices of the strict interior local maxima of ``y``."""
     return np.nonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:]))[0] + 1
+
+
+def _half_max_crossings(x: np.ndarray, y: np.ndarray, top: int, lo: int,
+                        hi: int) -> tuple[float | None, float | None]:
+    """Linearly interpolated points where ``y`` first falls to half of
+    y[top], walking out from ``top`` down to index ``lo`` and up to index
+    ``hi``; None on a side without a crossing."""
+    half = 0.5 * y[top]
+    left = None
+    for i in range(top, lo, -1):
+        if y[i - 1] <= half < y[i]:
+            frac = (y[i] - half) / (y[i] - y[i - 1])
+            left = x[i] - frac * (x[i] - x[i - 1])
+            break
+    right = None
+    for i in range(top, hi):
+        if y[i + 1] <= half < y[i]:
+            frac = (y[i] - half) / (y[i] - y[i + 1])
+            right = x[i] + frac * (x[i + 1] - x[i])
+            break
+    return left, right
 
 
 def find_imag_peaks(spectrum: SusceptibilitySpectrum) -> np.ndarray:
@@ -545,20 +577,7 @@ def transmission_window_fwhm(spectrum: SusceptibilitySpectrum,
         * scale.length
     trans = np.exp(-absorbance)
     dip = lp + int(np.argmax(trans[lp:rp + 1]))
-    half = 0.5 * trans[dip]
-
-    left = None
-    for i in range(dip, lp, -1):
-        if trans[i - 1] <= half < trans[i]:
-            frac = (trans[i] - half) / (trans[i] - trans[i - 1])
-            left = grid[i] - frac * (grid[i] - grid[i - 1])
-            break
-    right = None
-    for i in range(dip, rp):
-        if trans[i + 1] <= half < trans[i]:
-            frac = (trans[i] - half) / (trans[i] - trans[i + 1])
-            right = grid[i] + frac * (grid[i + 1] - grid[i])
-            break
+    left, right = _half_max_crossings(grid, trans, dip, lp, rp)
     if left is None or right is None:
         raise ValueError("no half-transmission crossings between the peaks")
     return (right - left) * scale.gamma3

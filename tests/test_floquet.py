@@ -8,14 +8,13 @@ import scipy.linalg
 
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian,
-                             detuning_generators, ketbra)
+                             detuning_generators, dissipator_superop, ketbra)
 from ramanlight import floquet
 from ramanlight.floquet import (ConvergenceError, _assemble_dense,
                                 choose_truncation, extract_dc_coherences,
                                 harmonic_tail_ok, integrate_to_period_average,
                                 solve_batch, solve_converged,
-                                solve_converged_batch, solve_floquet,
-                                steady_state_static, steady_state_static_batch)
+                                solve_converged_batch, solve_floquet)
 
 SYSTEM = AtomicSystem()
 PAPER_DRIVE = DriveConfig(omega_c=30.0, delta=0.2)
@@ -142,7 +141,9 @@ class TestSolveFloquet:
         drive = DriveConfig(omega_c=0.0, delta=0.2)
         liouv = liouvillian(drive, rate=0.25)
         fd = solve_floquet(liouv, 0.2, 3)
-        static = steady_state_static(liouv.l0)
+        # the order-0 balance system is L0 rho = 0 with trace(rho) = 1
+        a, b = _assemble_dense(liouv.l0, 0, 0, 0.2, 0)
+        static = np.linalg.solve(a, b).reshape(4, 4)
         assert np.allclose(fd.harmonic(0), static, atol=1e-12)
         for n in range(1, 4):
             assert np.abs(fd.harmonic(n)).max() < 1e-14
@@ -319,27 +320,39 @@ class TestTimeDomainOracle:
             integrate_to_period_average(liouv, 0.2, non_hermitian)
 
 
+def zero_drive_batch(l0):
+    """solve_batch at order 1 with no drive terms: the static steady states."""
+    no_drive = np.zeros(l0.shape[-2:], dtype=complex)
+    harmonics, errors, _ = solve_batch(l0, no_drive, no_drive, 1.0, 1)
+    solved = [b for b in range(l0.shape[0]) if b not in errors]
+    assert np.all(harmonics[solved][:, [0, 2]] == 0.0)
+    return harmonics[:, 1], errors
+
+
 class TestStaticSteadyState:
-    def test_three_level_pump_only(self):
-        # directly build a 2-level toy: decay 2->1 at rate 1
-        import ramanlight.atom as atom
+    """Zero-drive inputs to solve_batch: L0 rho = 0 with trace(rho) = 1."""
+
+    @staticmethod
+    def decay():
+        # a 2-level toy: decay 2->1 at rate 1
         op = np.zeros((2, 2), dtype=complex)
         op[0, 1] = 1.0
-        l0 = atom.dissipator_superop(op, 1.0)
-        rho = steady_state_static(l0)
-        assert np.allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
+        return dissipator_superop(op, 1.0)
+
+    def test_three_level_pump_only(self):
+        rho, errors = zero_drive_batch(self.decay()[None])
+        assert not errors
+        assert np.allclose(rho[0], np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_degenerate_static_detected(self):
-        l0 = np.zeros((4, 4), dtype=complex)  # 2-level, no dynamics at all
-        with pytest.raises(DegenerateModelError):
-            steady_state_static(l0)
+        l0 = np.zeros((1, 4, 4), dtype=complex)  # 2-level, no dynamics at all
+        _, errors = zero_drive_batch(l0)
+        assert isinstance(errors[0], DegenerateModelError)
 
     def test_batch_reports_only_the_degenerate_member(self):
-        import ramanlight.atom as atom
-        op = np.zeros((2, 2), dtype=complex)
-        op[0, 1] = 1.0
-        decay = atom.dissipator_superop(op, 1.0)
-        rho, errors = steady_state_static_batch(
+        decay = self.decay()
+        rho, errors = zero_drive_batch(
             np.stack([decay, np.zeros((4, 4), dtype=complex), 2.0 * decay]))
         assert list(errors) == [1]
+        assert isinstance(errors[1], DegenerateModelError)
         assert np.allclose(rho[[0, 2]], np.diag([1.0, 0.0]), atol=1e-12)

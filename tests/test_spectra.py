@@ -10,11 +10,12 @@ from ramanlight import floquet
 from ramanlight.cli import _eit_config
 from ramanlight.config import ScenarioConfig, preset
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
-                             PumpModel, build_liouvillian)
-from ramanlight.floquet import extract_dc_coherences, solve_floquet
+                             PumpModel, build_liouvillian, hamiltonian_superop)
+from ramanlight.floquet import _assemble_dense, extract_dc_coherences, solve_floquet
 from ramanlight.spectra import (BranchCutError, DopplerConfig, QuadratureError,
                                 ScanError, SusceptibilitySpectrum,
-                                ThreeLevelConfig, dispersion_slope,
+                                ThreeLevelConfig, _eit_liouvillian,
+                                dispersion_slope,
                                 doppler_average, eit_susceptibility,
                                 find_imag_peaks, group_index, group_index_at,
                                 make_chi_evaluator, make_eit_evaluator,
@@ -400,6 +401,34 @@ class TestEit:
                                 + (config.omega_c / 2) ** 2 / (g21 - 1j * dp)))
             measured = eit_susceptibility(config, dp)
             assert measured == pytest.approx(expected, rel=2e-3)
+
+    def test_matches_dense_static_solve(self):
+        # the order-0 balance system is L0 rho = 0 with trace(rho) = 1; the
+        # derivative solves it with right-hand side -dL0 rho, trace row zero
+        config = ThreeLevelConfig(omega_c=0.5)
+        per_delta_p = hamiltonian_superop(np.diag([0.0, -1.0, -1.0]).astype(complex))
+        evaluator = make_eit_evaluator(config)
+        points = np.array([0.0, 0.03, -0.2, 1.5])
+        chi, dchi = evaluator.tangent(points)
+        for i, dp in enumerate(points):
+            a, b = _assemble_dense(_eit_liouvillian(config) + dp * per_delta_p,
+                                   0, 0, 1.0, 0)
+            rho = np.linalg.solve(a, b)
+            rhs = -(per_delta_p @ rho)
+            rhs[0] = 0.0
+            expected = (rho[6] / config.omega_p,
+                        np.linalg.solve(a, rhs)[6] / config.omega_p)
+            assert abs(chi[i] - expected[0]) <= 1e-12 * abs(expected[0])
+            assert abs(dchi[i] - expected[1]) <= 1e-12 * abs(expected[1])
+            scalar = evaluator.tangent(dp)
+            assert scalar == (chi[i], dchi[i])
+            assert evaluator(dp) == chi[i]
+
+    @pytest.mark.parametrize("rate", ["gamma31", "gamma32", "gamma2_deph",
+                                      "gamma3_deph"])
+    def test_negative_rate_rejected(self, rate):
+        with pytest.raises(ValueError):
+            ThreeLevelConfig(omega_c=0.5, **{rate: -0.5})
 
 
 class TestSpectrumMetrics:
