@@ -16,7 +16,8 @@ acting on the row-major vectorised density matrix:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,6 +29,19 @@ DEFAULT_DIPOLE_SIGNS = (1, -1, 1, 1)
 
 class DegenerateModelError(ValueError):
     """Parameter set makes the steady-state problem ill-posed."""
+
+
+def require_finite(config) -> None:
+    """ValueError naming every NaN or infinite number field of a dataclass.
+
+    Checks like ``rate < 0`` are False for NaN, so they run after this one.
+    """
+    bad = [f.name for f in fields(config)
+           if isinstance(getattr(config, f.name), (int, float))
+           and not math.isfinite(getattr(config, f.name))]
+    if bad:
+        raise ValueError(f"{type(config).__name__}: {', '.join(bad)} "
+                         "must be finite")
 
 
 @dataclass(frozen=True)
@@ -52,6 +66,7 @@ class AtomicSystem:
     dipole_signs: tuple[int, int, int, int] = DEFAULT_DIPOLE_SIGNS
 
     def __post_init__(self):
+        require_finite(self)
         rates = (self.gamma31, self.gamma32, self.gamma41, self.gamma42,
                  self.gamma2_deph, self.gamma3_deph, self.gamma4_deph)
         if any(r < 0 for r in rates):
@@ -88,6 +103,7 @@ class DriveConfig:
     delta_p: float = 70.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.omega_c < 0 or self.omega_p < 0:
             raise ValueError("Rabi frequencies must be >= 0")
         if self.omega_c > 0 and self.delta <= 0:
@@ -131,6 +147,7 @@ class PumpModel:
     lindblad_form: bool = False
 
     def __post_init__(self):
+        require_finite(self)
         if self.mode not in ("direct-rate", "five-level-field"):
             raise ValueError(f"unknown pump mode {self.mode!r}")
         if self.mode == "direct-rate" and self.pump_rate < 0:

@@ -207,6 +207,9 @@ def parse_config(text: str,
             parsed = parser(value_text)
         except ValueError as exc:
             raise ConfigError(line_no, f"bad value for '{key}': {exc}") from exc
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise ConfigError(line_no, f"bad value for '{key}': {value_text!r} "
+                                       "is not a finite number")
         values[section][target] = parsed
 
     doppler_enabled = values["doppler"].pop("enabled", base.doppler_enabled)

@@ -7,7 +7,9 @@ the block-tridiagonal balance equations
 
 for |n| <= order, with one scalar equation replaced by trace(rho_0) = 1.
 A matrix continued fraction solves the system exactly, for a whole batch
-of generators at once (one stacked dim^2 x dim^2 solve per harmonic).
+of generators at once (one stacked dim^2 x dim^2 solve per harmonic n > 0).
+The generator keeps rho(t) Hermitian (``solve_batch`` checks it), so
+rho_-n = rho_n^dagger and the n < 0 side of the fraction is mirrored.
 
 An independent oracle integrates the master equation with a fixed-step RK4
 scheme: the one-period propagator and the period-average operator are built
@@ -26,8 +28,9 @@ import numpy as np
 from .atom import DegenerateModelError, LiouvillianHarmonics
 
 MAX_ORDER = 25
-# continued-fraction storage of one solve chunk. Measured on fig4, 1 MiB
-# keeps the peak memory where the rest of the run puts it; 2 MiB lifts it
+# continued-fraction storage of one solve chunk, n * 4 KiB for a member at
+# order n (S_n, n > 0). Measured on fig4 when T_n was stored too, 1 MiB
+# kept the peak memory where the rest of the run puts it; 2 MiB lifted it
 # by about 1 MiB and 4 MiB by 2 MiB, with no measurable gain in time
 CHUNK_BYTES = 2 ** 20
 COMPLEX_BYTES = 16
@@ -107,31 +110,6 @@ class TimeTrace:
     average_history: np.ndarray  # (periods, dim, dim) period-averaged rho
 
 
-def _assemble_dense(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
-                    delta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense harmonic-balance matrix and right-hand side (a test-side cross-check)."""
-    dim2 = l0.shape[0]
-    dim = math.isqrt(dim2)
-    nblocks = 2 * order + 1
-    size = nblocks * dim2
-    a = np.zeros((size, size), dtype=complex)
-    eye = np.eye(dim2)
-    for b in range(nblocks):
-        n = b - order
-        sl = slice(b * dim2, (b + 1) * dim2)
-        a[sl, sl] = l0 - (1j * n * delta) * eye
-        if b >= 1:
-            a[sl, (b - 1) * dim2:b * dim2] = lp
-        if b + 1 < nblocks:
-            a[sl, (b + 1) * dim2:(b + 2) * dim2] = lm
-    r = order * dim2
-    a[r, :] = 0.0
-    a[r, order * dim2 + np.arange(dim) * (dim + 1)] = 1.0
-    rhs = np.zeros(size, dtype=complex)
-    rhs[r] = 1.0
-    return a, rhs
-
-
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve over a stack; an exactly singular member gives NaN.
 
@@ -151,24 +129,43 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def _fraction_blocks(l0, lp, lm, delta: float, st: np.ndarray, members=slice(None)):
-    """A_n = L0 -/+ i n delta + L(-/+1) S_{n+1}/T_{n+1} for n = order ... 1.
+def _transposition(dim2: int) -> np.ndarray:
+    """P, vec(rho) -> vec(rho^T), as an index map: vec(rho)[perm]."""
+    dim = math.isqrt(dim2)
+    return np.arange(dim2).reshape(dim, dim).T.ravel()
 
-    Yields (n, A_n, closing) with both sides stacked first (0: S, n > 0;
-    1: T, n < 0) and the closing drive terms (L(-1), L(+1)). ``l0`` holds
-    the given ``members`` of the batch that ``st`` covers. A_n reads
-    st[n], so the continued fraction fills st[n] before it asks for the
-    next block.
+
+def _mirror(m: np.ndarray) -> np.ndarray:
+    """J(M) = P conj(M) P of a (..., dim^2, dim^2) stack."""
+    perm = _transposition(m.shape[-1])
+    return m.conj()[..., perm[:, None], perm]
+
+
+def _require_mirror(m: np.ndarray, image: np.ndarray, identity: str) -> None:
+    """ValueError unless J(m) = ``image`` to rounding, matrix by matrix.
+
+    J(M) = M holds when M maps Hermitian matrices to Hermitian ones. A NaN
+    entry passes: the residual check reports its member.
     """
-    sign = np.array([1.0, -1.0])[:, None, None, None]
-    closing = np.stack([lm, lp])[:, None]
-    eye = np.eye(lp.shape[0])
-    order = st.shape[0]
+    scale = np.maximum(1.0, np.abs(image).max(axis=(-2, -1)))
+    if np.any(np.abs(_mirror(m) - image).max(axis=(-2, -1)) > 1e-13 * scale):
+        raise ValueError(f"{identity} is broken: rho(t) would not stay Hermitian")
+
+
+def _fraction_blocks(l0, lm, delta: float, s: np.ndarray, members=slice(None)):
+    """A_n = L0 - i n delta + L(-1) S_{n+1} for n = order ... 1.
+
+    Yields (n, A_n). ``l0`` holds the given ``members`` of the batch that
+    ``s`` covers. A_n reads s[n], so the continued fraction fills s[n]
+    before it asks for the next block.
+    """
+    eye = np.eye(lm.shape[0])
+    order = s.shape[0]
     for n in range(order, 0, -1):
-        a = l0 - (1j * n * delta) * sign * eye
+        a = l0 - (1j * n * delta) * eye
         if n < order:
-            a += closing @ st[n][:, members]
-        yield n, a, closing
+            a += lm @ s[n][members]
+        yield n, a
 
 
 def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
@@ -184,18 +181,22 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     eliminates every harmonic but the zeroth, which solves
     (L0 + L(+1) T_1 + L(-1) S_1) rho_0 = 0 with its (1,1) row replaced by
     trace(rho_0) = 1. This is the truncated balance system solved exactly
-    (Risken, The Fokker-Planck Equation, ch. 9). Returns the vectorised
-    harmonics, (batch, 2 order + 1, dim^2), n ascending, and the tangent
-    pass of this solve (``tangent`` below).
+    (Risken, The Fokker-Planck Equation, ch. 9). Only the S side is
+    solved: J(L0) = L0 and J(L(+1)) = L(-1) (``_mirror``; ``solve_batch``
+    checks both), and J is multiplicative, so T_n = J(S_n),
+    L(+1) T_1 = J(L(-1) S_1) and rho_-n = P conj(rho_n) = rho_n^dagger.
+    Returns the vectorised harmonics, (batch, 2 order + 1, dim^2), n
+    ascending, and the tangent pass of this solve (``tangent`` below).
     """
     batch, dim2, _ = l0.shape
     dim = math.isqrt(dim2)
-    rhs = -np.stack([lp, lm])[:, None]
-    st = np.empty((order, 2, batch, dim2, dim2), dtype=complex)
-    for n, a, closing in _fraction_blocks(l0, lp, lm, delta, st):
-        st[n - 1] = _solve_stack(a, rhs)
+    perm = _transposition(dim2)
+    s = np.empty((order, batch, dim2, dim2), dtype=complex)
+    for n, a in _fraction_blocks(l0, lm, delta, s):
+        s[n - 1] = _solve_stack(a, -lp)
 
-    m0 = l0 + (closing @ st[0]).sum(axis=0)
+    closing = lm @ s[0]
+    m0 = l0 + closing + _mirror(closing)
     m0[:, 0] = 0.0
     m0[:, 0, np.arange(dim) * (dim + 1)] = 1.0
     e0 = np.zeros((dim2, 1), dtype=complex)
@@ -203,8 +204,8 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     x = np.empty((batch, 2 * order + 1, dim2), dtype=complex)
     x[:, order] = _solve_stack(m0, e0)[..., 0]
     for n in range(1, order + 1):
-        prev = np.stack([x[:, order + n - 1], x[:, order - n + 1]])
-        x[:, order + n], x[:, order - n] = (st[n - 1] @ prev[..., None])[..., 0]
+        x[:, order + n] = (s[n - 1] @ x[:, order + n - 1, :, None])[..., 0]
+    x[:, order - 1::-1] = x[:, order + 1:, perm].conj()
 
     def tangent(members, dl0: np.ndarray) -> np.ndarray:
         """dx/dp of the given members when their L0 moves by dL0/dp = dl0.
@@ -213,36 +214,36 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
         gives M y = -(I (x) dl0) x, with the trace row of the right-hand
         side zero: the trace constraint does not depend on p. The
         elimination above carries over with an inhomogeneous term. With
-        r_n = -dl0 x_n and g_{N+1} = h_{N+1} = 0,
+        r_n = -dl0 x_n and g_{N+1} = 0,
 
             g_n = A_n^-1 (r_n - L(-1) g_{n+1}),     y_n = S_n y_{n-1} + g_n
-            h_n = A_-n^-1 (r_-n - L(+1) h_{n+1}),   y_-n = T_n y_-(n-1) + h_n
 
         and m0 y_0 = r_0 - L(+1) h_1 - L(-1) g_1 with trace(y_0) = 0, where
-        A_n, S_n, T_n and m0 are those formed above. Returns y,
-        (len(members), 2 order + 1, dim, dim).
+        A_n, S_n and m0 are those formed above; J(dl0) = dl0 (else
+        ValueError) gives h_n = P conj(g_n) and y_-n = P conj(y_n). Returns
+        y, (len(members), 2 order + 1, dim, dim).
         """
+        _require_mirror(dl0, dl0, "J(dL0) = dL0")
         xs = x[members]
         count = xs.shape[0]
-        # one vector per harmonic and side, (order, 2, count, dim^2, 1):
-        # r_n and r_-n, overwritten by g_n and h_n, then by y_n and y_-n
-        w = dl0 @ np.stack([xs[:, order + 1:], xs[:, order - 1::-1]]).transpose(
-            2, 0, 1, 3)[..., None]
+        # (order, count, dim^2, 1): r_n, overwritten by g_n, then by y_n
+        w = dl0 @ xs[:, order + 1:].swapaxes(0, 1)[..., None]
         np.negative(w, out=w)
-        for n, a, closing in _fraction_blocks(l0[members], lp, lm, delta, st, members):
+        for n, a in _fraction_blocks(l0[members], lm, delta, s, members):
             if n < order:
-                w[n - 1] -= closing @ w[n]
+                w[n - 1] -= lm @ w[n]
             w[n - 1] = _solve_stack(a, w[n - 1])
 
-        b0 = -(dl0 @ xs[:, order, :, None]) - (closing @ w[0]).sum(axis=0)
+        closing = lm @ w[0]
+        b0 = -(dl0 @ xs[:, order, :, None]) - closing - closing[:, perm].conj()
         b0[:, 0] = 0.0
         y0 = _solve_stack(m0[members], b0)
         for n in range(1, order + 1):
-            w[n - 1] += st[n - 1][:, members] @ (w[n - 2] if n > 1 else y0)
+            w[n - 1] += s[n - 1][members] @ (w[n - 2] if n > 1 else y0)
         y = np.empty_like(xs)
         y[:, order] = y0[..., 0]
-        y[:, order + 1:] = w[:, 0, ..., 0].swapaxes(0, 1)
-        y[:, order - 1::-1] = w[:, 1, ..., 0].swapaxes(0, 1)
+        y[:, order + 1:] = w[..., 0].swapaxes(0, 1)
+        y[:, order - 1::-1] = y[:, order + 1:, perm].conj()
         return y.reshape(count, 2 * order + 1, dim, dim)
 
     return x, tangent
@@ -288,12 +289,15 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
     ``tangent(members, dl0)`` returns d harmonics/dp of the given members,
     (len(members), 2 order + 1, dim, dim), when their L0 moves by
     dL0/dp = dl0: the exact derivative of the truncated system, from the
-    continued fraction this solve formed.
+    continued fraction this solve formed. ValueError when J(L0) = L0 or
+    J(L(+1)) = L(-1) fails beyond rounding (``_continued_fraction``).
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
+    _require_mirror(l0, l0, "J(L0) = L0")
+    _require_mirror(lp, lm, "J(L(+1)) = L(-1)")
     batch, dim2, _ = l0.shape
     dim = math.isqrt(dim2)
     errors: dict[int, Exception] = {}
@@ -368,8 +372,8 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
     caps = np.asarray(caps, dtype=int)
     orders = np.minimum(np.asarray(orders, dtype=int), caps)
     dim2 = lp.shape[0]
-    # per harmonic and side: S_n or T_n, and the tangent pass's two vectors
-    stored = dim2 * dim2 + (0 if dl0 is None else 2 * dim2)
+    # per harmonic n > 0 (n < 0 is mirrored): S_n and the tangent's vector
+    stored = dim2 * dim2 + (0 if dl0 is None else dim2)
     errors: dict[int, Exception] = {}
     pending = np.arange(orders.size)
     while pending.size:
@@ -377,7 +381,7 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
         for n in np.unique(orders[pending]):
             n = int(n)
             group = pending[orders[pending] == n]
-            chunk = max(1, CHUNK_BYTES // (2 * n * stored * COMPLEX_BYTES))
+            chunk = max(1, CHUNK_BYTES // (n * stored * COMPLEX_BYTES))
             for start in range(0, group.size, chunk):
                 members = group[start:start + chunk]
                 harmonics, failed, tangent = solve_batch(l0_of(members), lp, lm,
@@ -389,7 +393,7 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
                 if ok.any():
                     accept(members[ok], n, harmonics[ok], *(
                         () if dl0 is None else (tangent(np.flatnonzero(ok), dl0),)))
-                # the tangent holds this chunk's S_n and T_n: free them
+                # the tangent holds this chunk's S_n: free them
                 # before the next chunk forms its own
                 del tangent
                 for b in np.flatnonzero(~ok):

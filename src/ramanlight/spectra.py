@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from .atom import (AtomicSystem, DriveConfig, PumpModel, build_liouvillian,
                    detuning_generators, dissipator_superop,
-                   hamiltonian_superop, ketbra)
+                   hamiltonian_superop, ketbra, require_finite)
 from .floquet import MAX_ORDER, solve_converged_batch
 
 GAMMA3_RB87_D1 = 2.0 * math.pi * 5.75e6      # rad/s, natural linewidth of the line
@@ -68,6 +68,7 @@ class PhysicalScale:
     k: float              # rad/s, density * dipole_sq / (eps0 hbar)
 
     def __post_init__(self):
+        require_finite(self)
         if self.density < 0 or self.dipole_sq <= 0 or self.gamma3 <= 0 \
                 or self.wavelength <= 0 or self.length <= 0:
             raise ValueError("physical scale entries must be positive")
@@ -124,6 +125,7 @@ class DopplerConfig:
     gamma3: float = GAMMA3_RB87_D1
 
     def __post_init__(self):
+        require_finite(self)
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if not 8 <= self.nodes <= HERMITE_MAX_NODES:
@@ -184,6 +186,7 @@ class ThreeLevelConfig:
     gamma3_deph: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.omega_c < 0 or self.omega_p <= 0:
             raise ValueError("omega_c must be >= 0 and omega_p positive")
         if min(self.gamma31, self.gamma32, self.gamma2_deph, self.gamma3_deph) < 0:

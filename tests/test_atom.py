@@ -1,5 +1,7 @@
 """Hamiltonian/Liouvillian assembly and pump-rate model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_hamiltonian_parts,
                              build_liouvillian, detuning_generators, ketbra,
                              pump_rate_from_field, validate_system)
+from ramanlight.config import PRESET_BUILDERS, preset
+from ramanlight.spectra import DopplerConfig, ThreeLevelConfig, physical_scale
 
 
 def unvec(v):
@@ -33,6 +37,19 @@ def direct_master_rhs(system, drive, pump, rho, t, delta):
         out += 0.5 * rate * (2.0 * op @ rho @ ad - ad @ op @ rho - rho @ ad @ op)
     out += -pump.rate() * rho[0, 0] * (ketbra(0, 0) - ketbra(1, 1))
     return out
+
+
+def mirror(superop):
+    """J(M) = P conj(M) P with P the permutation vec(rho) -> vec(rho^T).
+
+    A superoperator maps Hermitian rho to Hermitian rho exactly when it is
+    fixed by J: vec(rho^dagger) = P conj(vec(rho)).
+    """
+    p = np.zeros((16, 16))
+    for i in range(4):
+        for j in range(4):
+            p[4 * j + i, 4 * i + j] = 1.0
+    return p @ superop.conj() @ p
 
 
 def random_hermitian(rng):
@@ -122,6 +139,21 @@ class TestLiouvillian:
         for op in (liouv.l0, liouv.l_plus + liouv.l_minus):
             image_dag = apply(op, rho.conj().T)
             assert np.allclose(image_dag, apply(op, rho).conj().T, atol=1e-13)
+        # term by term, bit for bit: J(L0) = L0, J(L(+1)) = L(-1) and both
+        # detuning generators fixed, the identities the continued fraction
+        # mirrors its n < 0 side by
+        per_d2, per_shift = detuning_generators()
+        assert np.array_equal(mirror(per_d2), per_d2)
+        assert np.array_equal(mirror(per_shift), per_shift)
+        for name in PRESET_BUILDERS:
+            config = preset(name)
+            for pump in (config.pump, PumpModel.direct(0.3),
+                         PumpModel.direct(0.3, lindblad_form=True),
+                         PumpModel.from_field(2.0),
+                         PumpModel.from_field(2.0, lindblad_form=True)):
+                liouv = build_liouvillian(config.system, config.drive, pump)
+                assert np.array_equal(mirror(liouv.l0), liouv.l0), (name, pump)
+                assert np.array_equal(mirror(liouv.l_plus), liouv.l_minus), (name, pump)
 
     def test_drive_harmonics_equal_for_hermitian_drive(self):
         liouv = build_liouvillian(AtomicSystem(), DriveConfig(),
@@ -215,6 +247,25 @@ class TestValidation:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             AtomicSystem(gamma31=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [
+        lambda v: AtomicSystem(omega43=v),
+        lambda v: AtomicSystem(gamma31=v),
+        lambda v: DriveConfig(delta=v),
+        lambda v: DriveConfig(delta_p=v),
+        lambda v: DriveConfig(omega_c=v),
+        lambda v: PumpModel.direct(v),
+        lambda v: PumpModel.from_field(v),
+        lambda v: DopplerConfig(temperature=v),
+        lambda v: physical_scale(v),
+        lambda v: ThreeLevelConfig(omega_c=0.5, gamma31=v),
+    ], ids=["system-omega43", "system-gamma31", "drive-delta", "drive-delta_p",
+            "drive-omega_c", "pump-direct", "pump-field", "doppler-temperature",
+            "physical_scale", "three-level-gamma31"])
+    def test_non_finite_input_rejected(self, build, value):
+        with pytest.raises(ValueError, match="finite"):
+            build(value)
 
     def test_zero_delta_with_active_coupling_rejected(self):
         with pytest.raises(DegenerateModelError):

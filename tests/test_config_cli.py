@@ -112,6 +112,13 @@ class TestParseConfig:
             parse_config("[drive]\nomega_c_gamma3 = fast\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_reports_line(self, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[drive]\ndelta_gamma3 = 0.2\nomega_c_gamma3 = {text}\n")
+        assert err.value.line == 3
+        assert "finite" in str(err.value)
+
 
 class TestPresets:
     def test_all_presets_build(self):

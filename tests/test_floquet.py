@@ -10,14 +10,40 @@ from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian,
                              detuning_generators, dissipator_superop, ketbra)
 from ramanlight import floquet
-from ramanlight.floquet import (ConvergenceError, _assemble_dense,
-                                choose_truncation, extract_dc_coherences,
-                                harmonic_tail_ok, integrate_to_period_average,
-                                solve_batch, solve_converged,
-                                solve_converged_batch, solve_floquet)
+from ramanlight.floquet import (ConvergenceError, choose_truncation,
+                                extract_dc_coherences, harmonic_tail_ok,
+                                integrate_to_period_average, solve_batch,
+                                solve_converged, solve_converged_batch,
+                                solve_floquet)
 
 SYSTEM = AtomicSystem()
 PAPER_DRIVE = DriveConfig(omega_c=30.0, delta=0.2)
+
+
+def assemble_dense(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
+                   delta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense harmonic-balance matrix and right-hand side, the system the
+    continued fraction solves, for the cross-checks below."""
+    dim2 = l0.shape[0]
+    dim = math.isqrt(dim2)
+    nblocks = 2 * order + 1
+    size = nblocks * dim2
+    a = np.zeros((size, size), dtype=complex)
+    eye = np.eye(dim2)
+    for b in range(nblocks):
+        n = b - order
+        sl = slice(b * dim2, (b + 1) * dim2)
+        a[sl, sl] = l0 - (1j * n * delta) * eye
+        if b >= 1:
+            a[sl, (b - 1) * dim2:b * dim2] = lp
+        if b + 1 < nblocks:
+            a[sl, (b + 1) * dim2:(b + 2) * dim2] = lm
+    r = order * dim2
+    a[r, :] = 0.0
+    a[r, order * dim2 + np.arange(dim) * (dim + 1)] = 1.0
+    rhs = np.zeros(size, dtype=complex)
+    rhs[r] = 1.0
+    return a, rhs
 
 
 def liouvillian(drive=PAPER_DRIVE, rate=0.0, system=SYSTEM):
@@ -25,14 +51,14 @@ def liouvillian(drive=PAPER_DRIVE, rate=0.0, system=SYSTEM):
 
 
 def dense_harmonics(liouv, delta, order):
-    a, b = _assemble_dense(liouv.l0, liouv.l_plus, liouv.l_minus, delta, order)
+    a, b = assemble_dense(liouv.l0, liouv.l_plus, liouv.l_minus, delta, order)
     return np.linalg.solve(a, b).reshape(2 * order + 1, 4, 4)
 
 
 def dense_tangent(liouv, delta, order, dl0):
     """dx/dp of the dense truncated system A x = e when dL0/dp = dl0:
     A y = -(I (x) dl0) x with the trace row of the right-hand side zero."""
-    a, b = _assemble_dense(liouv.l0, liouv.l_plus, liouv.l_minus, delta, order)
+    a, b = assemble_dense(liouv.l0, liouv.l_plus, liouv.l_minus, delta, order)
     lu = scipy.linalg.lu_factor(a)
     x = scipy.linalg.lu_solve(lu, b).reshape(2 * order + 1, -1)
     rhs = -(x @ dl0.T).reshape(-1)
@@ -102,6 +128,35 @@ class TestContinuedFraction:
         assert np.array_equal(harmonics, solve_converged(paper, 0.2).harmonics)
 
 
+class TestMirrorPrecondition:
+    """The n < 0 side is mirrored from n > 0: inputs must keep rho Hermitian."""
+
+    def test_broken_member_of_l0_stack_rejected(self):
+        paper = liouvillian()
+        stack = np.stack([paper.l0, paper.l0, liouvillian(rate=0.4).l0])
+        stack[1] += 1e-3j * np.eye(16)
+        with pytest.raises(ValueError, match=r"J\(L0\) = L0 is broken"):
+            solve_batch(stack, paper.l_plus, paper.l_minus, 0.2, 10)
+
+    def test_drive_terms_not_mirror_images_rejected(self):
+        paper = liouvillian()
+        with pytest.raises(ValueError, match=r"J\(L\(\+1\)\) = L\(-1\) is broken"):
+            solve_batch(paper.l0[None], paper.l_plus, 0.5 * paper.l_minus, 0.2, 10)
+
+    def test_tangent_of_non_hermitian_derivative_rejected(self):
+        paper = liouvillian()
+        _, errors, tangent = solve_batch(paper.l0[None], paper.l_plus,
+                                         paper.l_minus, 0.2, 10)
+        assert not errors
+        with pytest.raises(ValueError, match=r"J\(dL0\) = dL0 is broken"):
+            tangent([0], detuning_generators()[0] + 1e-3j * np.eye(16))
+
+    def test_negative_harmonics_are_exact_adjoints(self):
+        fd = solve_floquet(liouvillian(rate=0.4), 0.2, 10)
+        for n in range(1, 11):
+            assert np.array_equal(fd.harmonic(-n), fd.harmonic(n).conj().T)
+
+
 class TestTangent:
     """The tangent pass against the derivative of the dense truncated system."""
 
@@ -142,7 +197,7 @@ class TestSolveFloquet:
         liouv = liouvillian(drive, rate=0.25)
         fd = solve_floquet(liouv, 0.2, 3)
         # the order-0 balance system is L0 rho = 0 with trace(rho) = 1
-        a, b = _assemble_dense(liouv.l0, 0, 0, 0.2, 0)
+        a, b = assemble_dense(liouv.l0, 0, 0, 0.2, 0)
         static = np.linalg.solve(a, b).reshape(4, 4)
         assert np.allclose(fd.harmonic(0), static, atol=1e-12)
         for n in range(1, 4):

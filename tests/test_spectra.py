@@ -1,17 +1,18 @@
 """Susceptibility, dispersion, group index, Doppler averaging, EIT."""
 
+import collections
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from ramanlight import floquet
-from ramanlight.cli import _eit_config
+from ramanlight import floquet, spectra
+from ramanlight.cli import _eit_config, _pulse_band_grid, _raman_evaluator
 from ramanlight.config import ScenarioConfig, preset
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian, hamiltonian_superop)
-from ramanlight.floquet import _assemble_dense, extract_dc_coherences, solve_floquet
+from ramanlight.floquet import extract_dc_coherences, solve_floquet
 from ramanlight.spectra import (BranchCutError, DopplerConfig, QuadratureError,
                                 ScanError, SusceptibilitySpectrum,
                                 ThreeLevelConfig, _eit_liouvillian,
@@ -118,6 +119,55 @@ class TestTruncation:
             rel=6e-9)
 
 
+@pytest.fixture
+def accepted_orders(monkeypatch):
+    """Accepted truncation order of each member, per ladder call."""
+    calls = []
+    ladder = spectra.solve_converged_batch
+
+    def recording(l0_of, lp, lm, delta, orders, caps, accept, dl0=None):
+        found = {}
+
+        def record(members, order, *values):
+            found.update(dict.fromkeys(members.tolist(), order))
+            accept(members, order, *values)
+
+        errors = ladder(l0_of, lp, lm, delta, orders, caps, record, dl0)
+        calls.append([found[m] for m in sorted(found)])
+        return errors
+
+    monkeypatch.setattr(spectra, "solve_converged_batch", recording)
+    return calls
+
+
+class TestAcceptedOrders:
+    """The truncation each class or point settles at, recorded before the
+    n < 0 side of the continued fraction was mirrored from n > 0."""
+
+    FIG6_CLASSES = [
+        10, 10, 14, 14, 20, 20, 40, 28, 28, 40, 40, 40, 40, 40, 40, 56,
+        56, 56, 56, 79, 79, 79, 111, 111, 428, 428, 428, 428, 428, 428, 428, 20,
+        20, 428, 428, 428, 428, 428, 428, 428, 111, 111, 79, 79, 79, 56, 56, 56,
+        56, 40, 40, 40, 40, 40, 40, 28, 28, 40, 20, 20, 14, 14, 10, 10,
+    ]
+
+    def test_fig6_doppler_classes_at_zero_pump_and_detuning(self, accepted_orders):
+        fig6 = preset("fig6")
+        evaluator = make_chi_evaluator(fig6.system, fig6.drive, PumpModel.direct(0.0),
+                                       doppler=fig6.doppler)
+        accepted_orders.clear()      # drop the anchors' ladder
+        evaluator(0.0)
+        assert accepted_orders == [self.FIG6_CLASSES]
+
+    def test_fig4_pump_on_scan(self, accepted_orders):
+        fig4 = preset("fig4")
+        evaluator = _raman_evaluator(fig4, fig4.pump)
+        accepted_orders.clear()
+        evaluator(_pulse_band_grid(fig4))
+        assert [collections.Counter(orders) for orders in accepted_orders] == [
+            {14: 2001}]
+
+
 class TestScan:
     def test_single_point_matches_susceptibility(self):
         evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
@@ -161,11 +211,11 @@ class TestScan:
         evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
         grid = np.linspace(-1.0, 1.0, 2001)
         scan = scan_evaluator(evaluator, grid).chi
-        chunk = floquet.CHUNK_BYTES // (2 * 10 * 256 * 16)   # members at order 10
+        chunk = floquet.CHUNK_BYTES // (10 * 256 * 16)   # members at order 10
         for i in (0, chunk - 1, chunk, 1000, 1337, 2000):
             assert evaluator(grid[i]) == scan[i]
         # chunks of three members put a boundary next to every third point
-        monkeypatch.setattr(floquet, "CHUNK_BYTES", 3 * 2 * 10 * 256 * 16)
+        monkeypatch.setattr(floquet, "CHUNK_BYTES", 3 * 10 * 256 * 16)
         assert np.array_equal(evaluator(grid[45:60]), scan[45:60])
 
     def test_tangent_independent_of_batch_and_chunk(self, monkeypatch):
@@ -173,8 +223,8 @@ class TestScan:
         grid = np.linspace(-1.0, 1.0, 2001)
         chi, dchi = evaluator.tangent(grid)
         assert np.array_equal(chi, evaluator(grid))
-        # members at order 10 with the tangent's two vectors per harmonic
-        member = 2 * 10 * (256 + 2 * 16) * 16
+        # members at order 10 with the tangent's vector per harmonic
+        member = 10 * (256 + 16) * 16
         chunk = floquet.CHUNK_BYTES // member
         for i in (0, chunk - 1, chunk, 1000, 1337, 2000):
             assert evaluator.tangent(grid[i]) == (chi[i], dchi[i])
@@ -411,9 +461,10 @@ class TestEit:
         points = np.array([0.0, 0.03, -0.2, 1.5])
         chi, dchi = evaluator.tangent(points)
         for i, dp in enumerate(points):
-            a, b = _assemble_dense(_eit_liouvillian(config) + dp * per_delta_p,
-                                   0, 0, 1.0, 0)
-            rho = np.linalg.solve(a, b)
+            a = _eit_liouvillian(config) + dp * per_delta_p
+            a[0] = 0.0
+            a[0, [0, 4, 8]] = 1.0      # trace(rho) = 1 replaces the rho11 row
+            rho = np.linalg.solve(a, np.eye(9)[0])
             rhs = -(per_delta_p @ rho)
             rhs[0] = 0.0
             expected = (rho[6] / config.omega_p,
