@@ -6,8 +6,8 @@ Usage:
 
 Every scenario writes its SVG charts beside its CSV tables.
 
-fig6 velocity-averages a full pump sweep and takes about 12 s
-(11.5-12.5 s on a 2-core host); every other preset finishes in 0.5-3 s.
+fig6 velocity-averages a full pump sweep and takes about 10 s
+(8-11 s on a 2-core host); every other preset finishes in 0.5-3 s.
 
 Compare two output directories with scripts/compare_outputs.py.
 """

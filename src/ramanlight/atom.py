@@ -251,6 +251,17 @@ def detuning_generators() -> tuple[np.ndarray, np.ndarray]:
             hamiltonian_superop(np.diag([0.0, 0.0, -1.0, -1.0]).astype(complex)))
 
 
+def pump_generator(lindblad_form: bool) -> np.ndarray:
+    """dL0/d(pump rate): the pump enters L0 linearly in both of its forms.
+
+    The population-transfer form -rho11 (|1><1| - |2><2|) leaves coherences
+    alone; the jump form, the dissipator of |2><1|, also damps the |1> ones.
+    """
+    if lindblad_form:
+        return dissipator_superop(ketbra(1, 0), 1.0)
+    return np.outer((ketbra(1, 1) - ketbra(0, 0)).ravel(), ketbra(0, 0).ravel())
+
+
 def build_liouvillian(system: AtomicSystem, drive: DriveConfig,
                       pump: PumpModel) -> LiouvillianHarmonics:
     """Assemble the generator harmonics for the driven master equation."""
@@ -265,16 +276,7 @@ def build_liouvillian(system: AtomicSystem, drive: DriveConfig,
     l0 += dissipator_superop(ketbra(2, 2), system.gamma3_deph)
     l0 += dissipator_superop(ketbra(3, 3), system.gamma4_deph)
 
-    rate = pump.rate()
-    if pump.lindblad_form:
-        l0 += dissipator_superop(ketbra(1, 0), rate)
-    else:
-        # -rate * rho11 * (|1><1| - |2><2|): reads only the rho11 element,
-        # moves population without touching coherences.
-        idx11 = 0 * LEVELS + 0
-        idx22 = 1 * LEVELS + 1
-        l0[idx11, idx11] -= rate
-        l0[idx22, idx11] += rate
+    l0 += pump.rate() * pump_generator(pump.lindblad_form)
 
     ld = hamiltonian_superop(h_drive)
     return LiouvillianHarmonics(l0=l0, l_plus=ld, l_minus=ld.copy(), dim=LEVELS)

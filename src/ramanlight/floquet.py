@@ -337,12 +337,11 @@ def solve_floquet(liouv: LiouvillianHarmonics, delta: float,
 
 
 def _tails_ok(harmonics: np.ndarray, rel: float = 1e-6) -> np.ndarray:
-    """Per member of a batch: the edge harmonics are negligible."""
+    """Per member of a batch: the edge harmonic rho_N is negligible (rho_-N
+    = rho_N^dagger has the same norm)."""
     order = (harmonics.shape[1] - 1) // 2
-    norm = np.linalg.norm
-    top = np.maximum(norm(harmonics[:, -1], axis=(1, 2)),
-                     norm(harmonics[:, 0], axis=(1, 2)))
-    return top <= rel * norm(harmonics[:, order], axis=(1, 2))
+    return (np.linalg.norm(harmonics[:, -1], axis=(1, 2))
+            <= rel * np.linalg.norm(harmonics[:, order], axis=(1, 2)))
 
 
 def harmonic_tail_ok(fd: FloquetDensity, rel: float = 1e-6) -> bool:

@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from .atom import (AtomicSystem, DriveConfig, PumpModel, build_liouvillian,
                    detuning_generators, dissipator_superop,
-                   hamiltonian_superop, ketbra, require_finite)
+                   hamiltonian_superop, ketbra, pump_generator, require_finite)
 from .floquet import MAX_ORDER, solve_converged_batch
 
 GAMMA3_RB87_D1 = 2.0 * math.pi * 5.75e6      # rad/s, natural linewidth of the line
@@ -196,19 +196,20 @@ class ThreeLevelConfig:
 # ---------------------------------------------------------------------------
 # point evaluation
 
-def _batch_solver(l0: np.ndarray, per_d2: np.ndarray, per_shift: np.ndarray,
+def _batch_solver(l0s: np.ndarray, per_d2: np.ndarray, per_shift: np.ndarray,
                   lp: np.ndarray, lm: np.ndarray, delta: float,
                   readout: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """chi of the generators L0 + d2 per_d2 + s per_shift, all driven by
+    """chi of the generators l0s[k] + d2 per_d2 + s per_shift, all driven by
     ``lp`` and ``lm`` at frequency ``delta``.
 
-    ``solve(d2, shift, orders, caps, with_tangent)`` runs the
-    ``solve_converged_batch`` ladder from the given seed orders and caps
-    and returns chi = ``readout`` (a stack of zeroth harmonics) at each
-    (d2, shift) pair, with ``with_tangent`` stacked on its d2 derivative
-    (NaN where failing), the accepted orders and the errors by index.
+    ``solve(k, d2, shift, orders, caps, with_tangent)`` runs the
+    ``solve_converged_batch`` ladder from the given seed orders and caps and
+    returns chi = ``readout`` (a stack of zeroth harmonics) of each member,
+    with ``with_tangent`` stacked on its d2 derivative (NaN where failing),
+    the accepted orders and the errors by index.
     """
-    def solve(d2: np.ndarray, shift: np.ndarray, orders, caps, with_tangent: bool):
+    def solve(k: np.ndarray, d2: np.ndarray, shift: np.ndarray, orders, caps,
+              with_tangent: bool):
         values = np.full((1 + with_tangent, d2.size), np.nan, dtype=complex)
         accepted = np.zeros(d2.size, dtype=int)
 
@@ -218,7 +219,8 @@ def _batch_solver(l0: np.ndarray, per_d2: np.ndarray, per_shift: np.ndarray,
             accepted[members] = order
 
         errors = solve_converged_batch(
-            lambda m: l0 + d2[m, None, None] * per_d2 + shift[m, None, None] * per_shift,
+            lambda m: (l0s[k[m]] + d2[m, None, None] * per_d2
+                       + shift[m, None, None] * per_shift),
             lp, lm, delta, orders, caps, accept, per_d2 if with_tangent else None)
         return values, accepted, errors
 
@@ -260,19 +262,55 @@ def _evaluator(values_of: Callable) -> Callable:
     return evaluator
 
 
-def _resonant_order_guess(system: AtomicSystem, drive: DriveConfig,
-                          base: int) -> int:
-    """Seed truncation order for a velocity class.
+def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
+                  lindblad_form: bool, doppler: DopplerConfig | None) -> Callable:
+    """``values_of(k, d2, with_tangent)``: chi of the four-level medium at
+    pump rate rates[k] and detuning d2 (its d2 derivative below it with
+    ``with_tangent``), Doppler-averaged if set, and the failing members.
 
-    Classes whose shifted coupling detuning (from either excited level)
-    comes within reach of the coupling Rabi frequency nutate at up to twice
-    omega_c, so the harmonic content extends to roughly 2 omega_c / delta;
-    far-detuned classes start at the stationary base order.
+    L0 is affine in the rate, d2 and the shift, so it is assembled once.
+    Each member and velocity class climbs the ``solve_converged`` ladder
+    from its rate's base order: the top order the ladder settles at over
+    the centre and the two Raman resonances, found for all rates at once.
     """
-    detuning = min(abs(drive.delta_c), abs(drive.delta_c - system.omega43))
-    if detuning > 1.3 * drive.omega_c + 10.0:
-        return base
-    return max(base, math.ceil((2.4 * drive.omega_c + 12.0) / drive.delta) + 8)
+    if drive.omega_p == 0:
+        raise ValueError("probe must be on: chi is defined relative to omega_p")
+    liouv = build_liouvillian(system, drive.at_two_photon_detuning(0.0),
+                              PumpModel.direct(0.0))
+    per_d2, per_shift = detuning_generators()
+    s31, s41 = system.dipole_signs[0], system.dipole_signs[1]
+    solve = _batch_solver(
+        liouv.l0 + rates[:, None, None] * pump_generator(lindblad_form),
+        per_d2, per_shift, liouv.l_plus, liouv.l_minus, drive.delta,
+        lambda rho0: (rho0[:, 2, 0] / (s31 * drive.omega_p)
+                      + rho0[:, 3, 0] / (s41 * drive.omega_p)))
+
+    anchors = np.tile([0.0, drive.delta, -drive.delta], rates.size)
+    _, orders, errors = solve(np.repeat(np.arange(rates.size), 3), anchors,
+                              np.zeros(anchors.size), np.ones(anchors.size, dtype=int),
+                              np.full(anchors.size, MAX_ORDER), False)
+    if errors:
+        raise errors[min(errors)]
+    base = orders.reshape(rates.size, 3).max(axis=1)
+
+    def values_of(k: np.ndarray, flat: np.ndarray, with_tangent: bool):
+        point_errors: dict[int, Exception] = {}
+
+        def at_shifts(shifts: np.ndarray) -> np.ndarray:
+            caps = np.where(shifts != 0, DOPPLER_ORDER_CAP, MAX_ORDER)
+            d2s, ss = np.broadcast_arrays(flat[:, None], shifts[None, :])
+            values, _, errors = solve(np.repeat(k, shifts.size), d2s.ravel(), ss.ravel(),
+                                      np.repeat(base[k], shifts.size),
+                                      np.tile(caps, flat.size), with_tangent)
+            for i in sorted(errors):
+                point_errors.setdefault(i // shifts.size, errors[i])
+            return values.reshape((-1,) + d2s.shape)
+
+        if doppler is None:
+            return at_shifts(np.zeros(1))[..., 0], point_errors
+        return doppler_average(at_shifts, doppler), point_errors
+
+    return values_of
 
 
 def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
@@ -288,55 +326,14 @@ def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
     batch: the exact derivative of the truncated system at each point's
     accepted order, by one tangent pass of the continued fraction.
 
-    The generator is affine in the two-photon detuning and the Doppler
-    shift, so it is assembled once. Every solve runs the
-    ``solve_converged`` ladder. Stationary points start at the highest
-    order it settles at over the scan centre and the two Raman resonances,
-    so evaluations are independent and deterministic. With a DopplerConfig
-    the evaluator velocity-averages chi (and its derivative, on the same
-    nodes); velocity classes start at ``_resonant_order_guess`` and may
-    climb to DOPPLER_ORDER_CAP.
+    The one-rate case of ``_raman_solver``: every point, and every velocity
+    class of a DopplerConfig average (chi and its derivative on the same
+    nodes), climbs the ladder from the base order, batch-independently.
     """
-    if drive.omega_p == 0:
-        raise ValueError("probe must be on: chi is defined relative to omega_p")
-    liouv = build_liouvillian(system, drive.at_two_photon_detuning(0.0), pump)
-    per_d2, per_shift = detuning_generators()
-    s31, s41 = system.dipole_signs[0], system.dipole_signs[1]
-
-    solve = _batch_solver(
-        liouv.l0, per_d2, per_shift, liouv.l_plus, liouv.l_minus, drive.delta,
-        lambda rho0: (rho0[:, 2, 0] / (s31 * drive.omega_p)
-                      + rho0[:, 3, 0] / (s41 * drive.omega_p)))
-
-    anchors = np.array([0.0, drive.delta, -drive.delta])
-    _, orders, errors = solve(anchors, np.zeros(3), np.ones(3, dtype=int),
-                              np.full(3, MAX_ORDER), False)
-    if errors:
-        raise errors[min(errors)]
-    base = int(orders.max())
-
-    def stationary(flat: np.ndarray, with_tangent: bool):
-        values, _, errors = solve(flat, np.zeros(flat.size), np.full(flat.size, base),
-                                  np.full(flat.size, MAX_ORDER), with_tangent)
-        return values, errors
-
-    def averaged(flat: np.ndarray, with_tangent: bool):
-        point_errors: dict[int, Exception] = {}
-
-        def at_shifts(shifts: np.ndarray) -> np.ndarray:
-            seeds = [_resonant_order_guess(system, drive.doppler_shifted(s), base)
-                     if s else base for s in shifts]
-            caps = [DOPPLER_ORDER_CAP if s else MAX_ORDER for s in shifts]
-            d2s, ss = np.broadcast_arrays(flat[:, None], shifts[None, :])
-            values, _, errors = solve(d2s.ravel(), ss.ravel(), np.tile(seeds, flat.size),
-                                      np.tile(caps, flat.size), with_tangent)
-            for i in sorted(errors):
-                point_errors.setdefault(i // shifts.size, errors[i])
-            return values.reshape((-1,) + d2s.shape)
-
-        return doppler_average(at_shifts, doppler), point_errors
-
-    return _evaluator(stationary if doppler is None else averaged)
+    values_of = _raman_solver(system, drive, np.array([pump.rate()]),
+                              pump.lindblad_form, doppler)
+    return _evaluator(lambda flat, with_tangent: values_of(
+        np.zeros(flat.size, dtype=int), flat, with_tangent))
 
 
 def susceptibility(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
@@ -419,7 +416,7 @@ def group_index_at(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
     return group_index(chi_s, dchi_s.real, scale)
 
 
-def doppler_average(evaluate_at_shift: Callable[[float], complex],
+def doppler_average(evaluate_at_shift: Callable[[np.ndarray], np.ndarray],
                     config: DopplerConfig,
                     check_convergence: bool = False) -> complex:
     """Gauss-Hermite average over the one-photon Doppler shift.
@@ -463,17 +460,20 @@ def pump_sweep(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
                ) -> np.ndarray:
     """Group index at the two-peak centre for each pump rate.
 
-    Returns a (len(rates), 2) table of (pump rate, n_g).
+    Returns a (len(rates), 2) table of (pump rate, n_g), row i equal to
+    ``group_index_at`` at a direct pump rates[i]. All rates (and velocity
+    classes) are one batch: one anchor ladder and one tangent ladder.
     """
     rates = np.asarray(rates, dtype=float)
-    if rates.size == 0 or np.any(rates < 0):
-        raise ValueError("pump rates must be non-negative")
-    rows = np.empty((rates.size, 2))
-    for i, rate in enumerate(rates):
-        result = group_index_at(system, drive, PumpModel.direct(float(rate)),
-                                scale, doppler=doppler)
-        rows[i] = (rate, result.n_g)
-    return rows
+    if rates.ndim != 1 or rates.size == 0 or not np.all(np.isfinite(rates)) \
+            or np.any(rates < 0):
+        raise ValueError("pump rates must be a non-empty 1-d array of finite rates >= 0")
+    values_of = _raman_solver(system, drive, rates, False, doppler)
+    (chi, dchi), errors = values_of(np.arange(rates.size), np.zeros(rates.size), True)
+    if errors:
+        raise errors[min(errors)]
+    return np.column_stack((rates, [group_index(complex(c), float(d.real), scale).n_g
+                                    for c, d in zip(chi, dchi)]))
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +512,12 @@ def make_eit_evaluator(config: ThreeLevelConfig) -> Callable:
     l0 = _eit_liouvillian(config)
     per_delta_p = hamiltonian_superop(np.diag([0.0, -1.0, -1.0]).astype(complex))
     no_drive = np.zeros_like(l0)
-    solve = _batch_solver(l0, per_delta_p, no_drive, no_drive, no_drive, 1.0,
+    solve = _batch_solver(l0[None], per_delta_p, no_drive, no_drive, no_drive, 1.0,
                           lambda rho0: rho0[:, 2, 0] / config.omega_p)
 
     def values_of(flat: np.ndarray, with_tangent: bool):
-        first = np.ones(flat.size, dtype=int)
-        values, _, errors = solve(flat, np.zeros(flat.size), first, first, with_tangent)
+        zero = np.zeros(flat.size, dtype=int)
+        values, _, errors = solve(zero, flat, zero, zero + 1, zero + 1, with_tangent)
         return values, errors
 
     return _evaluator(values_of)

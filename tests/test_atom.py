@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_hamiltonian_parts,
                              build_liouvillian, detuning_generators, ketbra,
-                             pump_rate_from_field, validate_system)
+                             pump_generator, pump_rate_from_field,
+                             validate_system)
 from ramanlight.config import PRESET_BUILDERS, preset
 from ramanlight.spectra import DopplerConfig, ThreeLevelConfig, physical_scale
 
@@ -172,6 +173,23 @@ class TestLiouvillian:
         out_lind = apply(lind.l0, rho12)
         assert out_paper[0, 1] == pytest.approx(-gamma2 / 2 * 1.0)
         assert out_lind[0, 1] == pytest.approx(-(gamma2 + rate) / 2)
+
+    @pytest.mark.parametrize("name", sorted(PRESET_BUILDERS))
+    def test_pump_enters_through_its_generator(self, name):
+        # L0(R) = L0(0) + R dL0/dR bit for bit, for the preset's pump and
+        # the direct, Lindblad-form and field pumps; the batched pump rate
+        # of spectra relies on it, and solve_batch on J(dL0/dR) = dL0/dR
+        config = preset(name)
+        rate0 = build_liouvillian(config.system, config.drive,
+                                  PumpModel.direct(0.0)).l0
+        for pump in (config.pump, PumpModel.direct(0.37),
+                     PumpModel.direct(0.37, lindblad_form=True),
+                     PumpModel.from_field(0.8, delta_op=0.3),
+                     PumpModel.from_field(1.1, lindblad_form=True)):
+            generator = pump_generator(pump.lindblad_form)
+            assert np.array_equal(mirror(generator), generator)
+            l0 = build_liouvillian(config.system, config.drive, pump).l0
+            assert np.array_equal(l0, rate0 + pump.rate() * generator)
 
     def test_generator_affine_in_detuning_and_shift(self):
         # L0(d2, s) = L0(0, 0) + d2 G2 + s Gs, against a fresh assembly

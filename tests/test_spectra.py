@@ -141,15 +141,22 @@ def accepted_orders(monkeypatch):
 
 
 class TestAcceptedOrders:
-    """The truncation each class or point settles at, recorded before the
-    n < 0 side of the continued fraction was mirrored from n > 0."""
+    """The truncation each class or point settles at.
+
+    The fig6 classes were recorded once every class climbed the ladder
+    from the stationary base order; before, 14 of them were seeded at
+    order 428 and accepted there. The fig4 scan was recorded before the
+    n < 0 side of the continued fraction was mirrored from n > 0, and the
+    pump sweep's base orders before its rates were solved as one batch.
+    """
 
     FIG6_CLASSES = [
         10, 10, 14, 14, 20, 20, 40, 28, 28, 40, 40, 40, 40, 40, 40, 56,
-        56, 56, 56, 79, 79, 79, 111, 111, 428, 428, 428, 428, 428, 428, 428, 20,
-        20, 428, 428, 428, 428, 428, 428, 428, 111, 111, 79, 79, 79, 56, 56, 56,
+        56, 56, 56, 79, 79, 79, 111, 111, 111, 156, 156, 219, 111, 79, 56, 20,
+        20, 56, 79, 111, 219, 156, 156, 111, 111, 111, 79, 79, 79, 56, 56, 56,
         56, 40, 40, 40, 40, 40, 40, 28, 28, 40, 20, 20, 14, 14, 10, 10,
     ]
+    PUMP_SWEEP_BASES = [10, 10, 10] + [14] * 12
 
     def test_fig6_doppler_classes_at_zero_pump_and_detuning(self, accepted_orders):
         fig6 = preset("fig6")
@@ -166,6 +173,16 @@ class TestAcceptedOrders:
         evaluator(_pulse_band_grid(fig4))
         assert [collections.Counter(orders) for orders in accepted_orders] == [
             {14: 2001}]
+
+    def test_pump_sweep_base_order_per_rate(self, accepted_orders):
+        # one anchor ladder over all 15 rates, then one tangent ladder whose
+        # centres accept at their rate's base order
+        fig6 = preset("fig6")
+        pump_sweep(fig6.system, fig6.drive, np.linspace(0.0, 0.5, 15),
+                   physical_scale(5e17))
+        anchors, centres = accepted_orders
+        assert np.reshape(anchors, (15, 3)).max(axis=1).tolist() == self.PUMP_SWEEP_BASES
+        assert centres == self.PUMP_SWEEP_BASES
 
 
 class TestScan:
@@ -513,3 +530,31 @@ class TestPumpSweep:
         with pytest.raises(ValueError):
             pump_sweep(SYSTEM, FIG2C, np.array([-0.1, 0.2]),
                        physical_scale(5e17))
+
+    @pytest.mark.parametrize("rates", [[0.1, np.nan], [np.inf], [[0.0, 0.1]], 0.2, []])
+    def test_rejects_non_finite_and_non_1d_rates_before_solving(self, rates,
+                                                                monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the rates were checked")
+
+        monkeypatch.setattr(spectra, "solve_converged_batch", no_solve)
+        with pytest.raises(ValueError, match="pump rates"):
+            pump_sweep(SYSTEM, FIG2C, np.array(rates), physical_scale(5e17))
+
+    def test_rows_equal_group_index_at(self):
+        fig6 = preset("fig6")
+        scale = physical_scale(5e17)
+        table = pump_sweep(fig6.system, fig6.drive, np.linspace(0.0, 0.5, 15), scale)
+        for rate, n_g in table:
+            assert n_g == group_index_at(fig6.system, fig6.drive,
+                                         PumpModel.direct(rate), scale).n_g
+
+    def test_doppler_rows_equal_group_index_at(self):
+        fig6 = preset("fig6")
+        scale = physical_scale(5e17)
+        doppler = DopplerConfig(nodes=8)
+        table = pump_sweep(fig6.system, fig6.drive, np.array([0.0, 0.1, 0.3]), scale,
+                           doppler=doppler)
+        for rate, n_g in table:
+            assert n_g == group_index_at(fig6.system, fig6.drive, PumpModel.direct(rate),
+                                         scale, doppler=doppler).n_g
