@@ -13,7 +13,7 @@ from .atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                    build_liouvillian, pump_rate_from_field, validate_system)
 from .floquet import (ConvergenceError, FloquetDensity, SolverError, TimeTrace,
                       choose_truncation, extract_dc_coherences,
-                      integrate_to_period_average, solve_converged,
+                      integrate_to_period_average, solve_converged_batch,
                       solve_floquet)
 from .spectra import (BranchCutError, DopplerConfig, GroupIndexResult,
                       PhysicalScale, SusceptibilitySpectrum, ThreeLevelConfig,

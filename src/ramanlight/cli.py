@@ -273,7 +273,8 @@ def _run_sweep(config: ScenarioConfig, out: Path, svg: bool,
         if doppler is not None:
             curves.append((f"Doppler {doppler.temperature:g} K", "_doppler", doppler))
     n_g = [spectra.pump_sweep(config.system, config.drive, rates, scale,
-                              doppler=curve_doppler)[:, 1]
+                              doppler=curve_doppler,
+                              lindblad_form=config.pump.lindblad_form)[:, 1]
            for _, _, curve_doppler in curves]
 
     files = [tables.write_sweep_csv(out / f"{stem}.csv", rates, *n_g)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .atom import AtomicSystem, DriveConfig, PumpModel
+from .atom import AtomicSystem, DriveConfig, PumpModel, require_finite
 from .spectra import (DopplerConfig, GAMMA3_RB87_D1, WAVELENGTH_RB87_D1)
 
 
@@ -40,11 +40,25 @@ class PulseSettings:
     window: float = 32e-6     # s
     samples: int = 2 ** 14
 
+    def __post_init__(self):
+        require_finite(self)
+        if self.sigma <= 0:
+            raise ValueError("pulse sigma must be positive")
+        if self.window <= 0:
+            raise ValueError("pulse window must be positive")
+
 
 @dataclass(frozen=True)
 class GridSettings:
     points: int = 2001
     half_width: float | None = None   # gamma3 units; None = 5 * delta
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.points < 1:
+            raise ValueError("grid points must be >= 1")
+        if self.half_width is not None and self.half_width <= 0:
+            raise ValueError("grid half_width must be positive")
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,10 @@ import numpy as np
 from .atom import DegenerateModelError, LiouvillianHarmonics
 
 MAX_ORDER = 25
-# continued-fraction storage of one solve chunk, n * 4 KiB for a member at
-# order n (S_n, n > 0). Measured on fig4 when T_n was stored too, 1 MiB
-# kept the peak memory where the rest of the run puts it; 2 MiB lifted it
-# by about 1 MiB and 4 MiB by 2 MiB, with no measurable gain in time
+# continued-fraction storage of one solve chunk: n * 4 KiB of S_n (n > 0)
+# per member at order n, plus n * 256 B with the tangent. The size was
+# chosen on fig4 when T_n was stored too. The live memory of a full chunk
+# is about twice the budget (tracemalloc on the rate-batched pump sweep)
 CHUNK_BYTES = 2 ** 20
 COMPLEX_BYTES = 16
 
@@ -336,43 +336,45 @@ def solve_floquet(liouv: LiouvillianHarmonics, delta: float,
     return FloquetDensity(order=order, delta=delta, harmonics=harmonics[0])
 
 
-def _tails_ok(harmonics: np.ndarray, rel: float = 1e-6) -> np.ndarray:
-    """Per member of a batch: the edge harmonic rho_N is negligible (rho_-N
-    = rho_N^dagger has the same norm)."""
+def _tails_ok(harmonics: np.ndarray) -> np.ndarray:
+    """Per member of a batch: the edge harmonic rho_N is below 1e-6 of the
+    zeroth (rho_-N = rho_N^dagger has the same norm)."""
     order = (harmonics.shape[1] - 1) // 2
     return (np.linalg.norm(harmonics[:, -1], axis=(1, 2))
-            <= rel * np.linalg.norm(harmonics[:, order], axis=(1, 2)))
+            <= 1e-6 * np.linalg.norm(harmonics[:, order], axis=(1, 2)))
 
 
-def harmonic_tail_ok(fd: FloquetDensity, rel: float = 1e-6) -> bool:
+def harmonic_tail_ok(fd: FloquetDensity) -> bool:
     """Truncation-order sanity: the edge harmonics must be negligible."""
-    return bool(_tails_ok(fd.harmonics[None], rel)[0])
+    return bool(_tails_ok(fd.harmonics[None])[0])
 
 
 def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
                           lp: np.ndarray, lm: np.ndarray, delta: float,
-                          orders, caps,
-                          accept: Callable[..., None],
-                          dl0: np.ndarray | None = None) -> dict[int, Exception]:
-    """``solve_converged`` over a batch of generators sharing the drive terms.
+                          orders, cap: int, dl0: np.ndarray | None = None
+                          ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Zeroth harmonics of a batch of generators sharing the drive terms,
+    each at the first truncation order whose harmonic tail passes.
 
     ``l0_of(members)`` returns the (len(members), dim^2, dim^2) stack of the
-    given member indices; ``orders`` and ``caps`` hold each member's seed
-    order and order cap. Members at the same order are solved together in
-    chunks of at most CHUNK_BYTES of continued-fraction storage, and only
-    members whose harmonic tail fails move up a rung. ``accept(members,
-    order, harmonics)`` receives every accepted chunk. With ``dl0``, the
-    derivative dL0/dp shared by every member, ``accept(members, order,
-    harmonics, tangents)`` also receives d harmonics/dp: one tangent pass
-    per accepted chunk at its accepted order, counted in the chunk's
-    storage. Returns the failing members by index; ConvergenceError marks a
-    tail still failing at the cap.
+    given member indices. Each member starts at its seed in ``orders`` and
+    raises its order n to max(n + 2, ceil(1.4 n)), at most ``cap``. Members
+    at the same order are solved together in chunks of at most CHUNK_BYTES
+    of continued-fraction storage; only those whose tail fails climb.
+    Returns rho_0, (1, batch, dim, dim), with ``dl0`` (dL0/dp of every
+    member) stacked on d rho_0/dp, (2, batch, dim, dim), from one tangent
+    pass per accepted chunk, counted in its storage; the accepted orders;
+    and the failing members by index. A failing member has order 0 and NaN
+    rho_0; ConvergenceError marks a tail still failing at ``cap``.
     """
-    caps = np.asarray(caps, dtype=int)
-    orders = np.minimum(np.asarray(orders, dtype=int), caps)
+    orders = np.minimum(np.asarray(orders, dtype=int), cap)
     dim2 = lp.shape[0]
+    dim = math.isqrt(dim2)
     # per harmonic n > 0 (n < 0 is mirrored): S_n and the tangent's vector
     stored = dim2 * dim2 + (0 if dl0 is None else dim2)
+    rho0 = np.full((1 if dl0 is None else 2, orders.size, dim, dim), np.nan,
+                   dtype=complex)
+    accepted = np.zeros(orders.size, dtype=int)
     errors: dict[int, Exception] = {}
     pending = np.arange(orders.size)
     while pending.size:
@@ -389,9 +391,11 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
                 ok[list(failed)] = False
                 for b, exc in failed.items():
                     errors[int(members[b])] = exc
-                if ok.any():
-                    accept(members[ok], n, harmonics[ok], *(
-                        () if dl0 is None else (tangent(np.flatnonzero(ok), dl0),)))
+                done = members[ok]
+                rho0[0, done] = harmonics[ok, n]
+                if dl0 is not None and done.size:
+                    rho0[1, done] = tangent(np.flatnonzero(ok), dl0)[:, n]
+                accepted[done] = n
                 # the tangent holds this chunk's S_n: free them
                 # before the next chunk forms its own
                 del tangent
@@ -399,34 +403,14 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
                     member = int(members[b])
                     if member in errors:
                         continue
-                    if n >= caps[member]:
+                    if n >= cap:
                         errors[member] = ConvergenceError(
                             f"harmonic tail not negligible at truncation order {n}")
                     else:
-                        orders[member] = min(caps[member],
-                                             max(n + 2, math.ceil(1.4 * n)))
+                        orders[member] = min(cap, max(n + 2, math.ceil(1.4 * n)))
                         climbing.append(member)
         pending = np.array(sorted(climbing), dtype=int)
-    return errors
-
-
-def solve_converged(liouv: LiouvillianHarmonics, delta: float, order: int = 1,
-                    order_cap: int = MAX_ORDER) -> FloquetDensity:
-    """Steady state at the first truncation order whose harmonic tail passes.
-
-    Starts at ``order`` (at most ``order_cap``) and raises the order n to
-    max(n + 2, ceil(1.4 n)) until the harmonic-tail test accepts the solve;
-    raises ConvergenceError when the tail still fails at ``order_cap``.
-    """
-    found = []
-    errors = solve_converged_batch(
-        lambda members: liouv.l0[None], liouv.l_plus, liouv.l_minus, delta,
-        [order], [order_cap],
-        lambda members, n, harmonics: found.append(
-            FloquetDensity(order=n, delta=delta, harmonics=harmonics[0])))
-    if errors:
-        raise errors[0]
-    return found[0]
+    return rho0, accepted, errors
 
 
 def extract_dc_coherences(fd: FloquetDensity) -> tuple[complex, complex]:

@@ -196,37 +196,6 @@ class ThreeLevelConfig:
 # ---------------------------------------------------------------------------
 # point evaluation
 
-def _batch_solver(l0s: np.ndarray, per_d2: np.ndarray, per_shift: np.ndarray,
-                  lp: np.ndarray, lm: np.ndarray, delta: float,
-                  readout: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """chi of the generators l0s[k] + d2 per_d2 + s per_shift, all driven by
-    ``lp`` and ``lm`` at frequency ``delta``.
-
-    ``solve(k, d2, shift, orders, caps, with_tangent)`` runs the
-    ``solve_converged_batch`` ladder from the given seed orders and caps and
-    returns chi = ``readout`` (a stack of zeroth harmonics) of each member,
-    with ``with_tangent`` stacked on its d2 derivative (NaN where failing),
-    the accepted orders and the errors by index.
-    """
-    def solve(k: np.ndarray, d2: np.ndarray, shift: np.ndarray, orders, caps,
-              with_tangent: bool):
-        values = np.full((1 + with_tangent, d2.size), np.nan, dtype=complex)
-        accepted = np.zeros(d2.size, dtype=int)
-
-        def accept(members, order, *found):
-            for row, harmonics in zip(values, found):
-                row[members] = readout(harmonics[:, order])
-            accepted[members] = order
-
-        errors = solve_converged_batch(
-            lambda m: (l0s[k[m]] + d2[m, None, None] * per_d2
-                       + shift[m, None, None] * per_shift),
-            lp, lm, delta, orders, caps, accept, per_d2 if with_tangent else None)
-        return values, accepted, errors
-
-    return solve
-
-
 def _evaluator(values_of: Callable) -> Callable:
     """A scalar-or-array chi evaluator with its ``tangent`` attribute.
 
@@ -266,44 +235,50 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
                   lindblad_form: bool, doppler: DopplerConfig | None) -> Callable:
     """``values_of(k, d2, with_tangent)``: chi of the four-level medium at
     pump rate rates[k] and detuning d2 (its d2 derivative below it with
-    ``with_tangent``), Doppler-averaged if set, and the failing members.
+    ``with_tangent``), Doppler-averaged if set, and the failing points.
 
     L0 is affine in the rate, d2 and the shift, so it is assembled once.
-    Each member and velocity class climbs the ``solve_converged`` ladder
-    from its rate's base order: the top order the ladder settles at over
-    the centre and the two Raman resonances, found for all rates at once.
+    Each member and velocity class climbs the ``solve_converged_batch``
+    ladder, up to MAX_ORDER (DOPPLER_ORDER_CAP in a Doppler average), from
+    its rate's base order: the top order the ladder settles at over the
+    centre and the two Raman resonances, found for all rates at once. chi
+    reads rho31 and rho41 of the zeroth harmonics the ladder returns.
     """
     if drive.omega_p == 0:
         raise ValueError("probe must be on: chi is defined relative to omega_p")
     liouv = build_liouvillian(system, drive.at_two_photon_detuning(0.0),
                               PumpModel.direct(0.0))
+    l0s = liouv.l0 + rates[:, None, None] * pump_generator(lindblad_form)
     per_d2, per_shift = detuning_generators()
     s31, s41 = system.dipole_signs[0], system.dipole_signs[1]
-    solve = _batch_solver(
-        liouv.l0 + rates[:, None, None] * pump_generator(lindblad_form),
-        per_d2, per_shift, liouv.l_plus, liouv.l_minus, drive.delta,
-        lambda rho0: (rho0[:, 2, 0] / (s31 * drive.omega_p)
-                      + rho0[:, 3, 0] / (s41 * drive.omega_p)))
+
+    def solve(k, d2, shift, orders, cap: int, with_tangent: bool):
+        return solve_converged_batch(
+            lambda m: (l0s[k[m]] + d2[m, None, None] * per_d2
+                       + shift[m, None, None] * per_shift),
+            liouv.l_plus, liouv.l_minus, drive.delta, orders, cap,
+            per_d2 if with_tangent else None)
 
     anchors = np.tile([0.0, drive.delta, -drive.delta], rates.size)
     _, orders, errors = solve(np.repeat(np.arange(rates.size), 3), anchors,
                               np.zeros(anchors.size), np.ones(anchors.size, dtype=int),
-                              np.full(anchors.size, MAX_ORDER), False)
+                              MAX_ORDER, False)
     if errors:
         raise errors[min(errors)]
     base = orders.reshape(rates.size, 3).max(axis=1)
+    cap = MAX_ORDER if doppler is None else DOPPLER_ORDER_CAP
 
     def values_of(k: np.ndarray, flat: np.ndarray, with_tangent: bool):
         point_errors: dict[int, Exception] = {}
 
         def at_shifts(shifts: np.ndarray) -> np.ndarray:
-            caps = np.where(shifts != 0, DOPPLER_ORDER_CAP, MAX_ORDER)
             d2s, ss = np.broadcast_arrays(flat[:, None], shifts[None, :])
-            values, _, errors = solve(np.repeat(k, shifts.size), d2s.ravel(), ss.ravel(),
-                                      np.repeat(base[k], shifts.size),
-                                      np.tile(caps, flat.size), with_tangent)
+            rho0, _, errors = solve(np.repeat(k, shifts.size), d2s.ravel(), ss.ravel(),
+                                    np.repeat(base[k], shifts.size), cap, with_tangent)
             for i in sorted(errors):
                 point_errors.setdefault(i // shifts.size, errors[i])
+            values = (rho0[..., 2, 0] / (s31 * drive.omega_p)
+                      + rho0[..., 3, 0] / (s41 * drive.omega_p))
             return values.reshape((-1,) + d2s.shape)
 
         if doppler is None:
@@ -356,15 +331,14 @@ def scan_evaluator(evaluator: Callable, grid: np.ndarray) -> SusceptibilitySpect
 # ---------------------------------------------------------------------------
 # derived quantities
 
-def dispersion_slope(chi_source, x0: float, step: float,
-                     check_tol: float = 1e-4) -> float:
+def dispersion_slope(chi_source, x0: float, step: float) -> float:
     """d Re(chi_s) / d(detuning) by central differences with step halving.
 
     The finite-difference cross-check of an evaluator's exact ``tangent``,
     and the slope of sources that have none. ``chi_source`` is either a
     callable of the two-photon detuning or a SusceptibilitySpectrum
     (interpolated cubically). The coarse and halved central differences
-    must agree to ``check_tol`` relative, otherwise a NonSmoothPointWarning
+    must agree to 1e-4 relative, otherwise a NonSmoothPointWarning
     is emitted; the Richardson combination of the two is returned.
     """
     if step <= 0:
@@ -378,7 +352,7 @@ def dispersion_slope(chi_source, x0: float, step: float,
     coarse = (re[0] - re[1]) / (2.0 * step)
     fine = (re[2] - re[3]) / step
     scale = max(abs(fine), abs(coarse))
-    if scale > 0 and abs(fine - coarse) > check_tol * scale:
+    if scale > 0 and abs(fine - coarse) > 1e-4 * scale:
         warnings.warn(
             f"slope at {x0:g} changed by {abs(fine - coarse) / scale:.2e} "
             f"relative under step halving (step {step:g})",
@@ -456,19 +430,20 @@ def doppler_average(evaluate_at_shift: Callable[[np.ndarray], np.ndarray],
 
 
 def pump_sweep(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
-               scale: PhysicalScale, doppler: DopplerConfig | None = None
-               ) -> np.ndarray:
+               scale: PhysicalScale, doppler: DopplerConfig | None = None,
+               lindblad_form: bool = False) -> np.ndarray:
     """Group index at the two-peak centre for each pump rate.
 
     Returns a (len(rates), 2) table of (pump rate, n_g), row i equal to
-    ``group_index_at`` at a direct pump rates[i]. All rates (and velocity
-    classes) are one batch: one anchor ladder and one tangent ladder.
+    ``group_index_at`` at ``PumpModel.direct(rates[i], lindblad_form)``.
+    All rates (and velocity classes) are one batch: one anchor ladder and
+    one tangent ladder.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or rates.size == 0 or not np.all(np.isfinite(rates)) \
             or np.any(rates < 0):
         raise ValueError("pump rates must be a non-empty 1-d array of finite rates >= 0")
-    values_of = _raman_solver(system, drive, rates, False, doppler)
+    values_of = _raman_solver(system, drive, rates, lindblad_form, doppler)
     (chi, dchi), errors = values_of(np.arange(rates.size), np.zeros(rates.size), True)
     if errors:
         raise errors[min(errors)]
@@ -506,19 +481,19 @@ def make_eit_evaluator(config: ThreeLevelConfig) -> Callable:
     ``make_chi_evaluator``'s evaluators, from the same ladder. The
     generator is affine in the probe detuning (only the level shifts
     -delta_p of |2> and |3> move), so it is assembled once. Without drive
-    terms every harmonic but the zeroth vanishes, so order 1 (at any
-    positive frequency) solves L0 rho = 0 with trace(rho) = 1.
+    terms every harmonic but the zeroth vanishes, so the ladder held at
+    order 1 (any positive frequency) solves L0 rho = 0 with trace(rho) = 1;
+    chi reads rho31 of the zeroth harmonics it returns.
     """
     l0 = _eit_liouvillian(config)
     per_delta_p = hamiltonian_superop(np.diag([0.0, -1.0, -1.0]).astype(complex))
     no_drive = np.zeros_like(l0)
-    solve = _batch_solver(l0[None], per_delta_p, no_drive, no_drive, no_drive, 1.0,
-                          lambda rho0: rho0[:, 2, 0] / config.omega_p)
 
     def values_of(flat: np.ndarray, with_tangent: bool):
-        zero = np.zeros(flat.size, dtype=int)
-        values, _, errors = solve(zero, flat, zero, zero + 1, zero + 1, with_tangent)
-        return values, errors
+        rho0, _, errors = solve_converged_batch(
+            lambda m: l0 + flat[m, None, None] * per_delta_p, no_drive, no_drive,
+            1.0, np.ones(flat.size, dtype=int), 1, per_delta_p if with_tangent else None)
+        return rho0[..., 2, 0] / config.omega_p, errors
 
     return _evaluator(values_of)
 

@@ -10,7 +10,7 @@ from ramanlight.config import (ConfigError, PresetError, UnitMismatchError,
 from ramanlight.cli import main, run_scenario
 from ramanlight import tables
 from ramanlight.atom import PumpModel
-from ramanlight.spectra import group_index_at, physical_scale
+from ramanlight.spectra import group_index_at, physical_scale, pump_sweep
 
 
 class TestParseConfig:
@@ -38,6 +38,19 @@ class TestParseConfig:
     def test_wrong_unit_suffix_rejected(self):
         with pytest.raises(UnitMismatchError):
             parse_config("[scale]\nlength_s = 1e-3\n")
+
+    @pytest.mark.parametrize("text, field", [
+        ("[grid]\nhalf_width_gamma3 = -1\n", "half_width"),
+        ("[grid]\nhalf_width_gamma3 = 0\n", "half_width"),
+        ("[grid]\npoints = 0\n", "points"),
+        ("[pulse]\nsigma_s = 0\n", "sigma"),
+        ("[pulse]\nsigma_s = -1e-6\n", "sigma"),
+        ("[pulse]\nwindow_s = 0\n", "window"),
+    ])
+    def test_bad_grid_and_pulse_values_rejected(self, text, field):
+        # before any solve: scan once solved 2001 points, then failed on the grid
+        with pytest.raises(ValueError, match=field):
+            parse_config(text)
 
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError) as err:
@@ -229,6 +242,20 @@ class TestCli:
         assert header[:2] == ["pump_rate_Gamma3", "group_index"]
         assert columns[0][0] == 0.0
         assert columns[0][-1] == 0.5
+
+    def test_sweep_honours_lindblad_form(self, tmp_path):
+        config_path = tmp_path / "jump.cfg"
+        config_path.write_text("[pump]\nlindblad_form = true\n")
+        code = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 0
+        _, (rates, n_g) = tables.read_table(tmp_path / "out" / "sweep.csv")
+        config, scale = parse_config(""), physical_scale(5e17)
+        assert n_g.tolist() == [
+            group_index_at(config.system, config.drive,
+                           PumpModel.direct(rate, lindblad_form=True), scale).n_g
+            for rate in rates]
+        assert not np.allclose(n_g, pump_sweep(config.system, config.drive, rates,
+                                               scale)[:, 1])
 
 
 class TestFig4Scenario:

@@ -10,11 +10,10 @@ from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian,
                              detuning_generators, dissipator_superop, ketbra)
 from ramanlight import floquet
-from ramanlight.floquet import (ConvergenceError, choose_truncation,
+from ramanlight.floquet import (MAX_ORDER, ConvergenceError, choose_truncation,
                                 extract_dc_coherences, harmonic_tail_ok,
                                 integrate_to_period_average, solve_batch,
-                                solve_converged, solve_converged_batch,
-                                solve_floquet)
+                                solve_converged_batch, solve_floquet)
 
 SYSTEM = AtomicSystem()
 PAPER_DRIVE = DriveConfig(omega_c=30.0, delta=0.2)
@@ -112,20 +111,28 @@ class TestContinuedFraction:
         # the paper point settles at order 10; the shifted class needs ~300
         paper = liouvillian()
         stack = np.stack([paper.l0, liouvillian(PAPER_DRIVE.doppler_shifted(-60.0)).l0])
-        accepted = {}
-
-        def accept(members, order, harmonics):
-            for m, h in zip(members, harmonics):
-                accepted[int(m)] = (order, h)
-
-        errors = solve_converged_batch(lambda m: stack[m], paper.l_plus,
-                                       paper.l_minus, 0.2, [1, 1], [25, 25], accept)
+        rho0, orders, errors = solve_converged_batch(lambda m: stack[m], paper.l_plus,
+                                                     paper.l_minus, 0.2, [1, 1], 25)
         assert list(errors) == [1]
         assert isinstance(errors[1], ConvergenceError)
-        assert list(accepted) == [0]
-        order, harmonics = accepted[0]
-        assert order == 10
-        assert np.array_equal(harmonics, solve_converged(paper, 0.2).harmonics)
+        assert orders.tolist() == [10, 0]
+        assert np.all(np.isnan(rho0[0, 1]))
+        assert np.array_equal(rho0[0, 0], solve_floquet(paper, 0.2, 10).harmonic(0))
+
+    def test_ladder_tangent_is_the_tangent_at_the_accepted_order(self):
+        per_d2 = detuning_generators()[0]
+        paper = liouvillian()
+        stack = np.stack([paper.l0, liouvillian(rate=0.4).l0])
+        rho0, orders, errors = solve_converged_batch(
+            lambda m: stack[m], paper.l_plus, paper.l_minus, 0.2, [1, 1], MAX_ORDER,
+            per_d2)
+        assert not errors
+        assert rho0.shape == (2, 2, 4, 4)
+        for b, order in enumerate(orders.tolist()):
+            harmonics, _, tangent = solve_batch(stack[b:b + 1], paper.l_plus,
+                                                paper.l_minus, 0.2, order)
+            assert np.array_equal(rho0[0, b], harmonics[0, order])
+            assert np.array_equal(rho0[1, b], tangent([0], per_d2)[0, order])
 
 
 class TestMirrorPrecondition:
@@ -292,31 +299,47 @@ def solved_orders(monkeypatch):
     return orders
 
 
+def converged(liouv, order=1, cap=MAX_ORDER):
+    """rho_0 and accepted order of one generator by the ladder, or its error."""
+    rho0, orders, errors = solve_converged_batch(
+        lambda members: liouv.l0[None], liouv.l_plus, liouv.l_minus,
+        PAPER_DRIVE.delta, [order], cap)
+    if errors:
+        raise errors[0]
+    return rho0[0, 0], int(orders[0])
+
+
 class TestSolveConverged:
     def test_seed_order_kept_when_tail_passes(self, solved_orders):
         liouv = liouvillian()
-        fd = solve_converged(liouv, PAPER_DRIVE.delta, order=17)
+        rho0, _ = converged(liouv, order=17)
         assert solved_orders == [17]
-        assert np.array_equal(fd.harmonics,
-                              solve_floquet(liouv, PAPER_DRIVE.delta, 17).harmonics)
+        assert np.array_equal(rho0,
+                              solve_floquet(liouv, PAPER_DRIVE.delta, 17).harmonic(0))
 
     def test_order_climbs_by_forty_percent_or_two(self, solved_orders,
                                                   monkeypatch):
         # harmonics of order n hold 2 n + 1 entries: pass from order 20 on
         monkeypatch.setattr(floquet, "_tails_ok",
                             lambda h: np.full(len(h), h.shape[1] >= 41))
-        fd = solve_converged(liouvillian(), PAPER_DRIVE.delta)
+        liouv = liouvillian()
+        rho0, order = converged(liouv)
         assert solved_orders == [1, 3, 5, 7, 10, 14, 20]
-        assert fd.order == 20
+        assert order == 20
+        assert np.array_equal(rho0,
+                              solve_floquet(liouv, PAPER_DRIVE.delta, 20).harmonic(0))
 
     def test_first_passing_rung_at_paper_point(self):
         liouv = liouvillian()
-        assert solve_converged(liouv, PAPER_DRIVE.delta).order == 10
+        rho0, order = converged(liouv)
+        assert order == 10
+        assert np.array_equal(rho0,
+                              solve_floquet(liouv, PAPER_DRIVE.delta, 10).harmonic(0))
         assert not harmonic_tail_ok(solve_floquet(liouv, PAPER_DRIVE.delta, 7))
 
     def test_cap_reached_raises(self, solved_orders):
         with pytest.raises(ConvergenceError):
-            solve_converged(liouvillian(), PAPER_DRIVE.delta, order_cap=6)
+            converged(liouvillian(), cap=6)
         assert solved_orders == [1, 3, 5, 6]
 
 

@@ -125,16 +125,10 @@ def accepted_orders(monkeypatch):
     calls = []
     ladder = spectra.solve_converged_batch
 
-    def recording(l0_of, lp, lm, delta, orders, caps, accept, dl0=None):
-        found = {}
-
-        def record(members, order, *values):
-            found.update(dict.fromkeys(members.tolist(), order))
-            accept(members, order, *values)
-
-        errors = ladder(l0_of, lp, lm, delta, orders, caps, record, dl0)
-        calls.append([found[m] for m in sorted(found)])
-        return errors
+    def recording(*args):
+        rho0, orders, errors = ladder(*args)
+        calls.append(orders[orders > 0].tolist())
+        return rho0, orders, errors
 
     monkeypatch.setattr(spectra, "solve_converged_batch", recording)
     return calls
@@ -541,13 +535,16 @@ class TestPumpSweep:
         with pytest.raises(ValueError, match="pump rates"):
             pump_sweep(SYSTEM, FIG2C, np.array(rates), physical_scale(5e17))
 
-    def test_rows_equal_group_index_at(self):
+    @pytest.mark.parametrize("lindblad_form", [False, True])
+    def test_rows_equal_group_index_at(self, lindblad_form):
         fig6 = preset("fig6")
         scale = physical_scale(5e17)
-        table = pump_sweep(fig6.system, fig6.drive, np.linspace(0.0, 0.5, 15), scale)
+        table = pump_sweep(fig6.system, fig6.drive, np.linspace(0.0, 0.5, 15), scale,
+                           lindblad_form=lindblad_form)
         for rate, n_g in table:
             assert n_g == group_index_at(fig6.system, fig6.drive,
-                                         PumpModel.direct(rate), scale).n_g
+                                         PumpModel.direct(rate, lindblad_form),
+                                         scale).n_g
 
     def test_doppler_rows_equal_group_index_at(self):
         fig6 = preset("fig6")
