@@ -7,7 +7,8 @@ Usage:
 Every scenario writes its SVG charts beside its CSV tables.
 
 fig6 velocity-averages a full pump sweep and takes about 10 s
-(8-11 s on a 2-core host); every other preset finishes in 0.5-3 s.
+(8.7-11.2 s on a 2-core host), fig4 about 2.5 s and every other preset
+0.4-1.2 s.
 
 Compare two output directories with scripts/compare_outputs.py.
 """

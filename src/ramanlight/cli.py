@@ -69,10 +69,14 @@ def _scan_grid(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(-half, half, config.grid.points)
 
 
-def _pulse_band_grid(config: ScenarioConfig) -> np.ndarray:
+def _pulse_half_width(config: ScenarioConfig) -> float:
     # cover the pulse spectral support (1e-6 of peak) with margin
     needed = math.sqrt(2.0 * math.log(1e6)) / config.pulse.sigma / config.scale.gamma3
-    half = max(1.15 * needed, config.grid.half_width or 0.0)
+    return max(1.15 * needed, config.grid.half_width or 0.0)
+
+
+def _pulse_band_grid(config: ScenarioConfig) -> np.ndarray:
+    half = _pulse_half_width(config)
     return np.linspace(-half, half, config.grid.points)
 
 
@@ -110,16 +114,15 @@ def _normalised_pulses(curves: list[tuple[str, pulses.Pulse]]) -> list:
 def _pulse_case(config: ScenarioConfig, evaluator):
     """Propagate the configured pulse through the evaluator's medium.
 
-    Returns the pulse-band spectrum, the input pulse, its vacuum reference,
-    the output pulse and the headline numbers. The group index that
-    predicts the delay takes its slope from the evaluator's tangent.
+    Returns the input pulse, its vacuum reference, the output pulse and
+    the headline numbers. The group index that predicts the delay takes
+    its slope from the evaluator's tangent.
     """
     scale = _scale_of(config)
-    spectrum = scan_evaluator(evaluator, _pulse_band_grid(config))
     pulse = pulses.synthesize_gaussian(config.pulse.sigma, config.pulse.window,
                                        config.pulse.samples)
     reference = pulses.vacuum_reference(pulse, scale)
-    output = pulses.propagate(pulse, spectrum, scale)
+    output = pulses.propagate(pulse, evaluator, scale, _pulse_half_width(config))
     chi0, dchi0 = evaluator.tangent(0.0)
     n_g = group_index(chi0, dchi0.real, scale).n_g
     summary = pulses.metrics(pulse, output, reference,
@@ -131,7 +134,7 @@ def _pulse_case(config: ScenarioConfig, evaluator):
         "stretch": summary.stretch,
         "transmission": summary.transmission,
     }
-    return spectrum, pulse, reference, output, numbers
+    return pulse, reference, output, numbers
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +178,10 @@ def _run_fig4(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
     for tag, label, pump in (("pump_off", "slow", PumpModel.direct(0.0)),
                              ("pump_on", "fast", config.pump)):
         evaluator = _raman_evaluator(config, pump)
-        spectrum, _, reference, output, numbers = _pulse_case(config, evaluator)
         files.append(tables.write_spectrum_csv(
-            out / f"fig4_spectrum_{tag}.csv", spectrum))
+            out / f"fig4_spectrum_{tag}.csv",
+            scan_evaluator(evaluator, _pulse_band_grid(config))))
+        _, reference, output, numbers = _pulse_case(config, evaluator)
         files.append(tables.write_pulse_csv(out / f"fig4_pulse_{label}.csv", output))
         curves.append((label, output))
         for key, value in numbers.items():
@@ -209,7 +213,7 @@ def _run_fig5(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
              for pump in (PumpModel.direct(0.0), config.pump)}  # one per rate
     cases += [(tag, _raman_evaluator(config, pump)) for tag, pump in raman.items()]
     for tag, evaluator in cases:
-        _, _, reference, output, numbers = _pulse_case(config, evaluator)
+        _, reference, output, numbers = _pulse_case(config, evaluator)
         files.append(tables.write_pulse_csv(out / f"fig5_pulse_{tag}.csv", output))
         curves.append((tag, output))
         for key in ("group_index", "peak_delay_s", "stretch"):
@@ -228,7 +232,8 @@ def _run_fig5(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
 def _run_pulse_command(config: ScenarioConfig, out: Path,
                        svg: bool) -> tuple[list, dict]:
     evaluator = _raman_evaluator(config, config.pump)
-    spectrum, pulse, reference, output, numbers = _pulse_case(config, evaluator)
+    spectrum = scan_evaluator(evaluator, _pulse_band_grid(config))
+    pulse, reference, output, numbers = _pulse_case(config, evaluator)
     files = [
         tables.write_spectrum_csv(out / "pulse_spectrum.csv", spectrum),
         tables.write_pulse_csv(out / "pulse_input.csv", pulse),

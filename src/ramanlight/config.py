@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .atom import AtomicSystem, DriveConfig, PumpModel, require_finite
-from .spectra import (DopplerConfig, GAMMA3_RB87_D1, WAVELENGTH_RB87_D1)
+from .pulses import require_pulse_grid
+from .spectra import (DopplerConfig, GAMMA3_RB87_D1, WAVELENGTH_RB87_D1,
+                      physical_scale)
 
 
 class ConfigError(ValueError):
@@ -42,10 +44,7 @@ class PulseSettings:
 
     def __post_init__(self):
         require_finite(self)
-        if self.sigma <= 0:
-            raise ValueError("pulse sigma must be positive")
-        if self.window <= 0:
-            raise ValueError("pulse window must be positive")
+        require_pulse_grid(self.sigma, self.window, self.samples)
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,10 @@ class ScaleSettings:
     length: float = 1e-3          # m
     wavelength: float = WAVELENGTH_RB87_D1
     gamma3: float = GAMMA3_RB87_D1
+
+    def __post_init__(self):
+        physical_scale(self.density, length=self.length, gamma3=self.gamma3,
+                       wavelength=self.wavelength)
 
 
 @dataclass(frozen=True)
@@ -192,6 +195,7 @@ def parse_config(text: str,
     The Doppler shift scale follows the resulting [scale] line data.
     """
     values: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
+    last_line: dict[str, int] = {}
     section: str | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -225,12 +229,20 @@ def parse_config(text: str,
             raise ConfigError(line_no, f"bad value for '{key}': {value_text!r} "
                                        "is not a finite number")
         values[section][target] = parsed
+        last_line[section] = line_no
+
+    def overlay(name: str, **derived):
+        try:
+            return replace(getattr(base, name), **values[name], **derived)
+        except ValueError as exc:
+            raise ConfigError(last_line.get(name, 0),
+                              f"bad [{name}] values: {exc}") from exc
 
     doppler_enabled = values["doppler"].pop("enabled", base.doppler_enabled)
-    groups = {name: replace(getattr(base, name), **values[name])
+    groups = {name: overlay(name)
               for name in ("system", "drive", "pump", "scale", "pulse", "grid")}
     scale = groups["scale"]
-    doppler = replace(base.doppler, **values["doppler"], gamma3=scale.gamma3,
+    doppler = overlay("doppler", gamma3=scale.gamma3,
                       wavevector=2.0 * math.pi / scale.wavelength)
     return replace(base, **groups, doppler=doppler,
                    doppler_enabled=doppler_enabled)

@@ -360,7 +360,8 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
     given member indices. Each member starts at its seed in ``orders`` and
     raises its order n to max(n + 2, ceil(1.4 n)), at most ``cap``. Members
     at the same order are solved together in chunks of at most CHUNK_BYTES
-    of continued-fraction storage; only those whose tail fails climb.
+    of continued-fraction storage; only those whose tail fails climb, also
+    when ``solve_batch`` flags them below ``cap`` with finite harmonics.
     Returns rho_0, (1, batch, dim, dim), with ``dl0`` (dL0/dp of every
     member) stacked on d rho_0/dp, (2, batch, dim, dim), from one tangent
     pass per accepted chunk, counted in its storage; the accepted orders;
@@ -388,9 +389,11 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
                 harmonics, failed, tangent = solve_batch(l0_of(members), lp, lm,
                                                          delta, n)
                 ok = _tails_ok(harmonics)
-                ok[list(failed)] = False
+                finite = np.isfinite(harmonics).all(axis=(1, 2, 3))
                 for b, exc in failed.items():
-                    errors[int(members[b])] = exc
+                    if ok[b] or n >= cap or not finite[b]:
+                        errors[int(members[b])] = exc
+                    ok[b] = False
                 done = members[ok]
                 rho0[0, done] = harmonics[ok, n]
                 if dl0 is not None and done.size:

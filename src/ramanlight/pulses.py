@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.constants as const
 
-from .spectra import (BranchCutError, PhysicalScale, SusceptibilitySpectrum,
-                      _half_max_crossings)
+from .spectra import BranchCutError, PhysicalScale, _half_max_crossings
 
 
 class WindowError(ValueError):
@@ -24,7 +23,7 @@ class WindowError(ValueError):
 
 
 class BandwidthError(ValueError):
-    """Pulse spectral support extends beyond the sampled susceptibility."""
+    """Pulse spectral support extends beyond the evaluated band."""
 
 
 class NoPeakError(RuntimeError):
@@ -70,13 +69,12 @@ class PropagationMetrics:
     predicted_group_delay: float | None = None  # s, (n_g - 1) L / c if known
 
 
-def synthesize_gaussian(sigma: float, window: float, samples: int) -> Pulse:
-    """Gaussian field envelope exp(-t^2 / 2 sigma^2) centred in the window.
+def require_pulse_grid(sigma: float, window: float, samples: int) -> None:
+    """Reject a Gaussian pulse grid ``synthesize_gaussian`` cannot fill.
 
-    ``sigma`` is the field-envelope standard deviation (so the field FWHM
-    is 2.355 sigma and the intensity FWHM 1.665 sigma). The window must
-    cover at least 16 sigma so the envelope is below 1e-12 of its peak at
-    the edges, and samples must be a power of two of at least 2^14.
+    The window must cover at least 16 sigma so the envelope is below 1e-12
+    of its peak at the edges, and samples must be a power of two of at
+    least 2^14.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -85,6 +83,16 @@ def synthesize_gaussian(sigma: float, window: float, samples: int) -> Pulse:
     if window < 16.0 * sigma:
         raise WindowError(f"window {window:g}s too small: need >= 16 sigma "
                           f"= {16 * sigma:g}s")
+
+
+def synthesize_gaussian(sigma: float, window: float, samples: int) -> Pulse:
+    """Gaussian field envelope exp(-t^2 / 2 sigma^2) centred in the window.
+
+    ``sigma`` is the field-envelope standard deviation (so the field FWHM
+    is 2.355 sigma and the intensity FWHM 1.665 sigma); the grid obeys
+    ``require_pulse_grid``.
+    """
+    require_pulse_grid(sigma, window, samples)
     times = window * np.arange(samples) / samples
     center = 0.5 * window
     envelope = np.exp(-((times - center) ** 2) / (2.0 * sigma ** 2))
@@ -109,30 +117,28 @@ def _transfer(pulse: Pulse, chi_of_offset, scale: PhysicalScale) -> Pulse:
                  center_time=pulse.center_time, sigma=None)
 
 
-def propagate(pulse: Pulse, spectrum: SusceptibilitySpectrum,
-              scale: PhysicalScale) -> Pulse:
-    """Send the pulse through length L of the sampled medium.
+def propagate(pulse: Pulse, evaluator, scale: PhysicalScale,
+              half_width: float) -> Pulse:
+    """Send the pulse through length L of the medium the evaluator describes.
 
     The pulse carrier sits at two-photon detuning zero; each envelope
-    frequency offset nu maps to detuning nu / gamma3 and the susceptibility
-    is interpolated cubically. The pulse spectral support (1e-6 of peak
-    amplitude) must lie inside the sampled grid; bins outside the grid
-    carry negligible amplitude and propagate as vacuum.
+    frequency offset nu maps to detuning nu / gamma3. The evaluator (a
+    callable of an array of detunings) is called once, on every bin with
+    |nu / gamma3| <= ``half_width``; bins beyond carry negligible amplitude
+    and propagate as vacuum. The pulse spectral support (1e-6 of peak
+    amplitude) must lie inside that band.
     """
-    spline = spectrum.interpolator()
-    lo, hi = spectrum.grid[0], spectrum.grid[-1]
-
     def chi_of_offset(nu, amp):
         d2 = nu / scale.gamma3
-        inside = (d2 >= lo) & (d2 <= hi)
+        inside = np.abs(d2) <= half_width
         support = amp >= 1e-6 * amp.max()
         if np.any(support & ~inside):
             worst = np.max(np.abs(d2[support]))
             raise BandwidthError(
                 f"pulse band extends to |detuning| = {worst:.3g} gamma3, "
-                f"outside the sampled grid [{lo:g}, {hi:g}]")
+                f"outside the evaluated band [{-half_width:g}, {half_width:g}]")
         chi = np.zeros(nu.size, dtype=complex)
-        chi[inside] = scale.chi_from_scaled(spline(d2[inside]))
+        chi[inside] = scale.chi_from_scaled(evaluator(d2[inside]))
         return chi
 
     return _transfer(pulse, chi_of_offset, scale)

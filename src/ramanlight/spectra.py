@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.constants as const
-from scipy.interpolate import CubicSpline
 
 from .atom import (AtomicSystem, DriveConfig, PumpModel, build_liouvillian,
                    detuning_generators, dissipator_superop,
@@ -100,6 +99,8 @@ def physical_scale(density: float, length: float = 1e-3,
     values of this scheme; use 0.5 to assign each excited level's full
     decay branch to a single dipole instead.
     """
+    if wavelength <= 0:
+        raise ValueError("physical scale entries must be positive")
     omega = 2.0 * math.pi * const.c / wavelength
     dipole_sq = (3.0 * math.pi * const.epsilon_0 * const.hbar * const.c ** 3
                  * branch_fraction * gamma3 / omega ** 3)
@@ -155,12 +156,6 @@ class SusceptibilitySpectrum:
             raise ValueError("grid must be strictly increasing")
         if not np.all(np.isfinite(self.chi)):
             raise ValueError("chi contains non-finite values")
-
-    def interpolator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Cubic interpolant of chi_s over the grid."""
-        if self.grid.size < 4:
-            raise ValueError("need at least 4 grid points to interpolate")
-        return CubicSpline(self.grid, self.chi)
 
 
 @dataclass(frozen=True)
@@ -331,24 +326,21 @@ def scan_evaluator(evaluator: Callable, grid: np.ndarray) -> SusceptibilitySpect
 # ---------------------------------------------------------------------------
 # derived quantities
 
-def dispersion_slope(chi_source, x0: float, step: float) -> float:
+def dispersion_slope(chi_source: Callable, x0: float, step: float) -> float:
     """d Re(chi_s) / d(detuning) by central differences with step halving.
 
     The finite-difference cross-check of an evaluator's exact ``tangent``,
-    and the slope of sources that have none. ``chi_source`` is either a
-    callable of the two-photon detuning or a SusceptibilitySpectrum
-    (interpolated cubically). The coarse and halved central differences
+    and the slope of sources that have none. ``chi_source`` is a callable
+    of the two-photon detuning. The coarse and halved central differences
     must agree to 1e-4 relative, otherwise a NonSmoothPointWarning
     is emitted; the Richardson combination of the two is returned.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    fn = chi_source.interpolator() if isinstance(chi_source, SusceptibilitySpectrum) \
-        else chi_source
 
     points = x0 + np.array([step, -step, step / 2, -step / 2])
     # one call for the four points; a constant source may answer with a scalar
-    re = np.broadcast_to(np.real(fn(points)), points.shape)
+    re = np.broadcast_to(np.real(chi_source(points)), points.shape)
     coarse = (re[0] - re[1]) / (2.0 * step)
     fine = (re[2] - re[3]) / step
     scale = max(abs(fine), abs(coarse))

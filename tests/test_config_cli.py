@@ -8,7 +8,7 @@ import pytest
 from ramanlight.config import (ConfigError, PresetError, UnitMismatchError,
                                parse_config, preset, PRESET_BUILDERS)
 from ramanlight.cli import main, run_scenario
-from ramanlight import tables
+from ramanlight import cli, tables
 from ramanlight.atom import PumpModel
 from ramanlight.spectra import group_index_at, physical_scale, pump_sweep
 
@@ -51,6 +51,21 @@ class TestParseConfig:
         # before any solve: scan once solved 2001 points, then failed on the grid
         with pytest.raises(ValueError, match=field):
             parse_config(text)
+
+    @pytest.mark.parametrize("text, line, field", [
+        ("[grid]\nhalf_width_gamma3 = 1\npoints = 0\n", 3, "points"),
+        ("[scale]\nlength_m = -1\n", 2, "positive"),
+        ("[scale]\nwavelength_m = 0\n", 2, "positive"),
+        ("[pulse]\nsamples = 1000\n", 2, "samples"),
+        ("[pulse]\nsigma_s = 1e-6\nwindow_s = 10e-6\n[grid]\npoints = 5\n", 3,
+         "window"),
+        ("[doppler]\nnodes = 4\n", 2, "nodes"),
+    ])
+    def test_rejected_section_reports_its_last_line(self, text, line, field):
+        # each was once accepted, or rejected without a line, and failed later
+        with pytest.raises(ConfigError, match=field) as err:
+            parse_config(text)
+        assert err.value.line == line
 
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError) as err:
@@ -284,6 +299,19 @@ class TestFig4Scenario:
             expected = group_index_at(config.system, config.drive,
                                       PumpModel.direct(rate), physical_scale(5e17))
             assert stored[key] == expected.n_g
+
+
+class TestPulseRunnerScans:
+    @pytest.mark.parametrize("name, scans", [("fig5", 0), ("fig4", 3)])
+    def test_scans_only_what_is_written(self, name, scans, tmp_path, monkeypatch):
+        # pulses come from the evaluator: fig4 scans its two spectrum CSVs
+        # and the transmission window, fig5 writes no spectrum
+        calls = []
+        scan = cli.scan_evaluator
+        monkeypatch.setattr(cli, "scan_evaluator",
+                            lambda *args: calls.append(args) or scan(*args))
+        run_scenario(preset(name), tmp_path)
+        assert len(calls) == scans
 
 
 class TestFig5Scenario:

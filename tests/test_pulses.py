@@ -9,16 +9,17 @@ import scipy.constants as const
 from ramanlight.pulses import (BandwidthError, NoPeakError, Pulse, WindowError,
                                metrics, propagate, synthesize_gaussian,
                                vacuum_reference)
-from ramanlight.spectra import (BranchCutError, SusceptibilitySpectrum,
-                                physical_scale)
+from ramanlight.cli import _pulse_half_width
+from ramanlight.config import preset
+from ramanlight.spectra import BranchCutError, physical_scale
 
 SCALE = physical_scale(5e17)
+BAND = 40.0   # gamma3: half-width of the band the constant media are evaluated on
 
 
-def flat_spectrum(value, half_width=40.0, points=4001):
-    grid = np.linspace(-half_width, half_width, points)
-    return SusceptibilitySpectrum(grid=grid,
-                                  chi=np.full(points, value, dtype=complex))
+def flat_spectrum(value):
+    """A medium of constant scaled susceptibility."""
+    return lambda d2: np.full(np.shape(d2), value, dtype=complex)
 
 
 class TestSynthesis:
@@ -59,7 +60,7 @@ class TestSynthesis:
 class TestPropagation:
     def test_zero_chi_equals_vacuum(self):
         pulse = synthesize_gaussian(1e-6, 32e-6, 2 ** 14)
-        out = propagate(pulse, flat_spectrum(0.0), SCALE)
+        out = propagate(pulse, flat_spectrum(0.0), SCALE, BAND)
         reference = vacuum_reference(pulse, SCALE)
         assert np.allclose(out.envelope, reference.envelope, atol=1e-13)
         # L/c is far below one sample; the peak must not move by even one
@@ -77,7 +78,7 @@ class TestPropagation:
         chi0 = 2e-4
         pulse = synthesize_gaussian(1e-6, 32e-6, 2 ** 14)
         value = chi0 * SCALE.gamma3 / SCALE.k  # scaled so k chi_s = chi0
-        out = propagate(pulse, flat_spectrum(value), SCALE)
+        out = propagate(pulse, flat_spectrum(value), SCALE, BAND)
         reference = vacuum_reference(pulse, SCALE)
         summary = metrics(pulse, out, reference)
         expected = (math.sqrt(1.0 + chi0) - 1.0) * SCALE.length / const.c
@@ -86,7 +87,8 @@ class TestPropagation:
 
     def test_lossless_energy_conservation(self):
         pulse = synthesize_gaussian(1e-6, 32e-6, 2 ** 14)
-        out = propagate(pulse, flat_spectrum(1e-4 * SCALE.gamma3 / SCALE.k), SCALE)
+        out = propagate(pulse, flat_spectrum(1e-4 * SCALE.gamma3 / SCALE.k), SCALE,
+                        BAND)
         summary = metrics(pulse, out, vacuum_reference(pulse, SCALE))
         assert summary.transmission == pytest.approx(1.0, abs=1e-9)
 
@@ -95,27 +97,42 @@ class TestPropagation:
         doubled = Pulse(times=pulse.times, envelope=2.0 * pulse.envelope,
                         center_time=pulse.center_time)
         spectrum = flat_spectrum(3e-5 + 1e-5j)
-        out_one = propagate(pulse, spectrum, SCALE)
-        out_two = propagate(doubled, spectrum, SCALE)
+        out_one = propagate(pulse, spectrum, SCALE, BAND)
+        out_two = propagate(doubled, spectrum, SCALE, BAND)
         assert np.allclose(out_two.envelope, 2.0 * out_one.envelope, atol=1e-12)
 
     def test_zero_length_roundtrip(self):
         scale = physical_scale(5e17, length=1e-30)
         pulse = synthesize_gaussian(1e-6, 32e-6, 2 ** 14)
-        out = propagate(pulse, flat_spectrum(0.02), scale)
+        out = propagate(pulse, flat_spectrum(0.02), scale, BAND)
         assert np.allclose(out.envelope, pulse.envelope, atol=1e-12)
 
     def test_bandwidth_guard(self):
         pulse = synthesize_gaussian(1e-6, 32e-6, 2 ** 14)
         with pytest.raises(BandwidthError):
-            propagate(pulse, flat_spectrum(0.0, half_width=0.01, points=101),
-                      SCALE)
+            propagate(pulse, flat_spectrum(0.0), SCALE, half_width=0.01)
 
     def test_branch_cut_guard(self):
         pulse = synthesize_gaussian(1e-6, 32e-6, 2 ** 14)
         value = -1.5 * SCALE.gamma3 / SCALE.k
         with pytest.raises(BranchCutError):
-            propagate(pulse, flat_spectrum(value), SCALE)
+            propagate(pulse, flat_spectrum(value), SCALE, BAND)
+
+    def test_evaluator_called_once_on_the_band(self):
+        pulse = synthesize_gaussian(1e-6, 32e-6, 2 ** 14)
+        half_width = _pulse_half_width(preset("fig4"))
+        calls = []
+
+        def recording(d2):
+            calls.append(d2.copy())
+            return np.zeros(d2.shape, dtype=complex)
+
+        propagate(pulse, recording, SCALE, half_width)
+        bins = 2.0 * math.pi * np.fft.fftfreq(pulse.times.size, pulse.dt) / SCALE.gamma3
+        assert len(calls) == 1
+        assert np.array_equal(np.sort(calls[0]),
+                              np.sort(bins[np.abs(bins) <= half_width]))
+        assert calls[0].size == 61
 
 
 class TestMetrics:
@@ -162,23 +179,3 @@ class TestPulseValidation:
         with pytest.raises(ValueError):
             Pulse(times=times, envelope=envelope, center_time=0.5)
 
-
-class TestGridDensity:
-    def test_halving_grid_step_leaves_peak_delay(self):
-        # medium spectrum sampled at two densities: cubic interpolation must
-        # already be converged at the coarser one
-        import numpy as np
-        from ramanlight.atom import AtomicSystem, DriveConfig, PumpModel
-        from ramanlight.spectra import make_chi_evaluator, scan_evaluator
-        evaluator = make_chi_evaluator(AtomicSystem(),
-                                       DriveConfig(omega_c=30.0, delta=0.2),
-                                       PumpModel.direct(0.0))
-        pulse = synthesize_gaussian(1e-6, 32e-6, 2 ** 14)
-        reference = vacuum_reference(pulse, SCALE)
-        delays = []
-        for points in (601, 1201):
-            spectrum = scan_evaluator(evaluator,
-                                      np.linspace(-0.25, 0.25, points))
-            out = propagate(pulse, spectrum, SCALE)
-            delays.append(metrics(pulse, out, reference).peak_delay)
-        assert abs(delays[1] - delays[0]) <= 1e-3 * abs(delays[1])

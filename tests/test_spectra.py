@@ -3,6 +3,8 @@
 import collections
 import math
 import warnings
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from ramanlight import floquet, spectra
 from ramanlight.cli import _eit_config, _pulse_band_grid, _raman_evaluator
 from ramanlight.config import ScenarioConfig, preset
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
-                             PumpModel, build_liouvillian, hamiltonian_superop)
+                             PumpModel, build_liouvillian, detuning_generators,
+                             hamiltonian_superop)
 from ramanlight.floquet import extract_dc_coherences, solve_floquet
 from ramanlight.spectra import (BranchCutError, DopplerConfig, QuadratureError,
                                 ScanError, SusceptibilitySpectrum,
@@ -179,6 +182,38 @@ class TestAcceptedOrders:
         assert centres == self.PUMP_SWEEP_BASES
 
 
+class TestLadderClimbsPastLowRungs:
+    """Near s = -70 gamma3 the coupling pair is one-photon resonant with |3>:
+    rung 20 breaks the population bound while its tail fails too, so the
+    rung is too low, not the class broken."""
+
+    SHIFT = -70.08
+
+    def test_resonant_class_accepts_at_order_219_with_clean_invariants(self):
+        fig6 = preset("fig6")
+        liouv = build_liouvillian(fig6.system, fig6.drive, PumpModel.direct(0.0))
+        l0 = (liouv.l0 + self.SHIFT * detuning_generators()[1])[None]
+        solve = partial(floquet.solve_batch, l0, liouv.l_plus, liouv.l_minus,
+                        fig6.drive.delta)
+        low, low_errors, _ = solve(20)
+        assert isinstance(low_errors[0], floquet.SolverError)
+        assert not floquet._tails_ok(low)[0]
+        _, orders, errors = floquet.solve_converged_batch(
+            lambda m: l0[m], liouv.l_plus, liouv.l_minus, fig6.drive.delta, [10],
+            spectra.DOPPLER_ORDER_CAP)
+        assert not errors
+        assert orders.tolist() == [219]
+        assert solve(219)[1] == {}
+
+    def test_doppler_rule_with_a_node_near_resonance_gives_finite_n_g(self):
+        # 18 nodes put one near s = -70; its value is the quadrature's, not pinned
+        fig6 = preset("fig6")
+        n_g = group_index_at(fig6.system, fig6.drive, PumpModel.direct(0.0),
+                             physical_scale(5e17),
+                             doppler=replace(fig6.doppler, nodes=18)).n_g
+        assert math.isfinite(n_g)
+
+
 class TestScan:
     def test_single_point_matches_susceptibility(self):
         evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
@@ -280,11 +315,6 @@ class TestDispersionSlope:
         from ramanlight.spectra import NonSmoothPointWarning
         with pytest.warns(NonSmoothPointWarning):
             dispersion_slope(lambda x: abs(x) + 0j, 0.01, 0.05)
-
-    def test_spectrum_input_uses_interpolation(self):
-        grid = np.linspace(-1.0, 1.0, 201)
-        spectrum = SusceptibilitySpectrum(grid=grid, chi=2.0 * grid + 0j)
-        assert dispersion_slope(spectrum, 0.0, 0.01) == pytest.approx(2.0)
 
 
 def _preset_centre_cases():
