@@ -20,8 +20,8 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy.constants as const
 
+from . import constants as const
 from . import pulses, spectra, svgplot, tables
 from .atom import PumpModel, validate_system
 from .config import (PresetError, ScenarioConfig, load_config, preset,

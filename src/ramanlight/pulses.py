@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.constants as const
 
+from . import constants as const
 from .spectra import BranchCutError, PhysicalScale, _half_max_crossings
 
 

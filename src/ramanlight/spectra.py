@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.constants as const
 
+from . import constants as const
 from .atom import (AtomicSystem, DriveConfig, PumpModel, build_liouvillian,
                    detuning_generators, dissipator_superop,
                    hamiltonian_superop, ketbra, pump_generator, require_finite)
@@ -102,8 +102,16 @@ def physical_scale(density: float, length: float = 1e-3,
     if wavelength <= 0:
         raise ValueError("physical scale entries must be positive")
     omega = 2.0 * math.pi * const.c / wavelength
-    dipole_sq = (3.0 * math.pi * const.epsilon_0 * const.hbar * const.c ** 3
-                 * branch_fraction * gamma3 / omega ** 3)
+    try:
+        dipole_sq = (3.0 * math.pi * const.epsilon_0 * const.hbar * const.c ** 3
+                     * branch_fraction * gamma3 / omega ** 3)
+    except (OverflowError, ZeroDivisionError):  # omega ** 3 is not a double
+        dipole_sq = math.nan
+    if not 0.0 < dipole_sq < math.inf:
+        raise ValueError(
+            f"wavelength {wavelength!r} m, gamma3 {gamma3!r} rad/s and branch "
+            f"fraction {branch_fraction!r} give no finite positive dipole "
+            f"(|mu|^2 = {dipole_sq!r})")
     k = density * dipole_sq / (const.epsilon_0 * const.hbar)
     return PhysicalScale(density=density, dipole_sq=dipole_sq, gamma3=gamma3,
                          wavelength=wavelength, length=length, k=k)

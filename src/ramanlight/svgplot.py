@@ -85,10 +85,10 @@ def render_line_chart(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    def px(x: float | np.ndarray) -> float | np.ndarray:
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y: float | np.ndarray) -> float | np.ndarray:
         return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -137,7 +137,9 @@ def render_line_chart(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     legend_y = MARGIN_TOP + 10
     for idx, (label, x, y) in enumerate(series):
         color = COLORS[idx % len(COLORS)]
-        points = " ".join(f"{px(xi):.2f},{py(yi):.2f}" for xi, yi in zip(x, y))
+        # px and py take the arrays whole; one %-format writes every point
+        pairs = np.column_stack((px(x), py(y))).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * x.size) % tuple(pairs)
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.8" points="{points}"/>')
         ly = legend_y + idx * 22

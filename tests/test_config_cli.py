@@ -67,6 +67,14 @@ class TestParseConfig:
             parse_config(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("wavelength", ["1e-120", "1e300"])
+    def test_impossible_wavelength_reports_its_line(self, wavelength):
+        # omega ** 3 overflows or underflows: once a bare OverflowError or
+        # ZeroDivisionError from physical_scale
+        with pytest.raises(ConfigError, match="no finite positive dipole") as err:
+            parse_config(f"[scale]\ndensity_per_m3 = 5e17\nwavelength_m = {wavelength}\n")
+        assert err.value.line == 3
+
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[drive]\n\nfoo_gamma3 = 1\n")
