@@ -17,11 +17,10 @@ from .floquet import (ConvergenceError, FloquetDensity, SolverError, TimeTrace,
                       solve_floquet)
 from .spectra import (BranchCutError, DopplerConfig, GroupIndexResult,
                       PhysicalScale, SusceptibilitySpectrum, ThreeLevelConfig,
-                      dispersion_slope, doppler_average, eit_susceptibility,
-                      find_imag_peaks, group_index, group_index_at,
-                      make_chi_evaluator, make_eit_evaluator, physical_scale,
-                      pump_sweep, scan_evaluator, susceptibility,
-                      transmission_window_fwhm)
+                      dispersion_slope, doppler_average, find_imag_peaks,
+                      group_index, group_index_at, make_chi_evaluator,
+                      make_eit_evaluator, physical_scale, pump_sweep,
+                      scan_evaluator, transmission_window_fwhm)
 from .pulses import (BandwidthError, NoPeakError, PropagationMetrics, Pulse,
                      WindowError, metrics, propagate, synthesize_gaussian,
                      vacuum_reference)

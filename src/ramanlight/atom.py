@@ -74,16 +74,6 @@ class AtomicSystem:
         if len(self.dipole_signs) != 4 or any(s not in (-1, 1) for s in self.dipole_signs):
             raise ValueError("dipole_signs must be four entries of +1 or -1")
 
-    @property
-    def gamma3(self) -> float:
-        """Total spontaneous rate out of level |3> (the simulation unit)."""
-        return self.gamma31 + self.gamma32
-
-    @property
-    def gamma4(self) -> float:
-        """Total spontaneous rate out of level |4>."""
-        return self.gamma41 + self.gamma42
-
 
 @dataclass(frozen=True)
 class DriveConfig:
@@ -93,7 +83,9 @@ class DriveConfig:
     ``delta_c`` the detuning of their centre frequency from |2> -> |3>,
     and ``delta_p`` the probe detuning from |1> -> |3>. Defaults reproduce
     the slow-light pulse operating point: couplings centred halfway between
-    the excited doublet and the probe parked at two-photon resonance.
+    the excited doublet and the probe parked at two-photon resonance. The
+    chi evaluators take the two-photon detuning as their argument and read
+    ``delta_p`` nowhere; only direct ``build_liouvillian`` calls do.
     """
 
     omega_c: float = 30.0
@@ -109,10 +101,6 @@ class DriveConfig:
         if self.omega_c > 0 and self.delta <= 0:
             raise DegenerateModelError(
                 "delta must be positive while the coupling pair is active")
-
-    @property
-    def two_photon_detuning(self) -> float:
-        return self.delta_p - self.delta_c
 
     def at_two_photon_detuning(self, value: float) -> "DriveConfig":
         """Probe moved so that delta_p - delta_c equals ``value``."""

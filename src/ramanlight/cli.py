@@ -10,7 +10,6 @@ machine-readable JSON error line on stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -24,8 +23,7 @@ import numpy as np
 from . import constants as const
 from . import pulses, spectra, svgplot, tables
 from .atom import PumpModel, validate_system
-from .config import (PresetError, ScenarioConfig, load_config, preset,
-                     PRESET_BUILDERS)
+from .config import PresetError, ScenarioConfig, load_config, preset
 from .spectra import (DopplerConfig, PhysicalScale, ThreeLevelConfig,
                       find_imag_peaks, group_index, make_chi_evaluator,
                       make_eit_evaluator, physical_scale, scan_evaluator,
@@ -37,23 +35,9 @@ class RunReport:
     """What a scenario run produced."""
 
     scenario: str
-    parameters: dict
     files: list[str]
     headline: dict[str, float]
     wall_time: float
-
-
-def _flatten(config: ScenarioConfig) -> dict:
-    flat = {}
-    for group_name in ("system", "drive", "pump", "scale", "pulse", "grid"):
-        group = getattr(config, group_name)
-        for key, value in dataclasses.asdict(group).items():
-            flat[f"{group_name}.{key}"] = value
-    flat["doppler.enabled"] = config.doppler_enabled
-    if config.doppler_enabled:
-        for key, value in dataclasses.asdict(config.doppler).items():
-            flat[f"doppler.{key}"] = value
-    return flat
 
 
 def _scale_of(config: ScenarioConfig) -> PhysicalScale:
@@ -125,12 +109,11 @@ def _pulse_case(config: ScenarioConfig, evaluator):
     output = pulses.propagate(pulse, evaluator, scale, _pulse_half_width(config))
     chi0, dchi0 = evaluator.tangent(0.0)
     n_g = group_index(chi0, dchi0.real, scale).n_g
-    summary = pulses.metrics(pulse, output, reference,
-                             (n_g - 1.0) * scale.length / const.c)
+    summary = pulses.metrics(pulse, output, reference)
     numbers = {
         "group_index": n_g,
         "peak_delay_s": summary.peak_delay,
-        "predicted_group_delay_s": summary.predicted_group_delay,
+        "predicted_group_delay_s": (n_g - 1.0) * scale.length / const.c,
         "stretch": summary.stretch,
         "transmission": summary.transmission,
     }
@@ -320,16 +303,15 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path,
     if config.scenario not in _RUNNERS:
         raise PresetError(
             f"unknown scenario {config.scenario!r}; available: "
-            + ", ".join(sorted(PRESET_BUILDERS)))
+            + ", ".join(sorted(_RUNNERS)))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     files, headline = _RUNNERS[config.scenario](config, out, svg)
     files.append(tables.write_metrics_csv(
         out / f"{config.scenario}_metrics.csv", headline))
-    return RunReport(scenario=config.scenario, parameters=_flatten(config),
-                     files=[str(f) for f in files], headline=headline,
-                     wall_time=time.perf_counter() - start)
+    return RunReport(scenario=config.scenario, files=[str(f) for f in files],
+                     headline=headline, wall_time=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------

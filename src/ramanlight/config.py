@@ -2,11 +2,12 @@
 
 Grammar: ``key = value`` lines grouped under ``[section]`` headers, ``#``
 starts a comment anywhere. Every physical key carries its unit as a name
-suffix (``omega_c_gamma3``, ``length_m``); keys without their suffix and
-unknown keys are hard errors with the offending line number. A file is
-overlaid on a base config key by key: what it leaves out keeps the base's
-value. With the default base an empty file reproduces the slow-light pulse
-operating point (the defaults of every section).
+suffix (``omega_c_gamma3``, ``length_m``); keys without their suffix,
+unknown keys and keys set twice in one section are hard errors with the
+offending line number. A file is overlaid on a base config key by key:
+what it leaves out keeps the base's value. With the default base an empty
+file reproduces the slow-light pulse operating point (the defaults of every
+section).
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ def _parse_pump_mode(text: str) -> str:
 
 
 # section -> key -> (target field, parser); key names carry explicit units.
+# [drive] has no probe-detuning key: the two-photon detuning is what every
+# runner scans (or fixes at 0), whatever DriveConfig.delta_p holds.
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "system": {
         "gamma31_gamma3": ("gamma31", float),
@@ -134,7 +137,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "omega_p_gamma3": ("omega_p", float),
         "delta_gamma3": ("delta", float),
         "delta_c_gamma3": ("delta_c", float),
-        "delta_p_gamma3": ("delta_p", float),
     },
     "pump": {
         "mode": ("mode", _parse_pump_mode),
@@ -221,6 +223,8 @@ def parse_config(text: str,
         if key not in table:
             raise _diagnose_key(section, key, line_no)
         target, parser = table[key]
+        if target in values[section]:
+            raise ConfigError(line_no, f"key '{key}' set twice in [{section}]")
         try:
             parsed = parser(value_text)
         except ValueError as exc:

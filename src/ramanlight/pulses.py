@@ -36,8 +36,6 @@ class Pulse:
 
     times: np.ndarray
     envelope: np.ndarray
-    center_time: float
-    sigma: float | None = None   # field-envelope st.dev. if synthesised
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -66,7 +64,6 @@ class PropagationMetrics:
     peak_delay: float              # s, intensity peak vs the vacuum reference
     stretch: float                 # intensity-FWHM ratio out/in
     transmission: float            # integrated intensity out/in
-    predicted_group_delay: float | None = None  # s, (n_g - 1) L / c if known
 
 
 def require_pulse_grid(sigma: float, window: float, samples: int) -> None:
@@ -94,10 +91,8 @@ def synthesize_gaussian(sigma: float, window: float, samples: int) -> Pulse:
     """
     require_pulse_grid(sigma, window, samples)
     times = window * np.arange(samples) / samples
-    center = 0.5 * window
-    envelope = np.exp(-((times - center) ** 2) / (2.0 * sigma ** 2))
-    return Pulse(times=times, envelope=envelope.astype(complex),
-                 center_time=center, sigma=sigma)
+    envelope = np.exp(-((times - 0.5 * window) ** 2) / (2.0 * sigma ** 2))
+    return Pulse(times=times, envelope=envelope.astype(complex))
 
 
 def _transfer(pulse: Pulse, chi_of_offset, scale: PhysicalScale) -> Pulse:
@@ -113,8 +108,7 @@ def _transfer(pulse: Pulse, chi_of_offset, scale: PhysicalScale) -> Pulse:
     omega = scale.probe_omega + nu
     transfer = np.exp(1j * (omega / const.c) * index * scale.length)
     out = np.fft.fft(spectrum * transfer)
-    return Pulse(times=pulse.times.copy(), envelope=out,
-                 center_time=pulse.center_time, sigma=None)
+    return Pulse(times=pulse.times.copy(), envelope=out)
 
 
 def propagate(pulse: Pulse, evaluator, scale: PhysicalScale,
@@ -172,8 +166,8 @@ def _fwhm(times: np.ndarray, intensity: np.ndarray) -> float:
     return float(right - left)
 
 
-def metrics(pulse_in: Pulse, pulse_out: Pulse, reference: Pulse,
-            predicted_group_delay: float | None = None) -> PropagationMetrics:
+def metrics(pulse_in: Pulse, pulse_out: Pulse,
+            reference: Pulse) -> PropagationMetrics:
     """Delay, stretch and transmission of the output pulse.
 
     The delay compares the output intensity peak against the vacuum
@@ -191,5 +185,4 @@ def metrics(pulse_in: Pulse, pulse_out: Pulse, reference: Pulse,
     if energy_in == 0:
         raise NoPeakError("input pulse carries no energy")
     return PropagationMetrics(peak_delay=float(delay), stretch=float(stretch),
-                              transmission=energy_out / energy_in,
-                              predicted_group_delay=predicted_group_delay)
+                              transmission=energy_out / energy_in)

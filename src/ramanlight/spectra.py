@@ -33,10 +33,6 @@ class BranchCutError(ValueError):
     """1 + Re(chi) <= 0: the refractive index leaves the real branch."""
 
 
-class QuadratureError(RuntimeError):
-    """Velocity quadrature did not converge under node refinement."""
-
-
 class ScanError(RuntimeError):
     """One or more grid points of a spectrum scan failed."""
 
@@ -53,27 +49,26 @@ class NonSmoothPointWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PhysicalScale:
-    """SI anchors converting the scaled susceptibility to physics.
-
-    ``k`` is derived from the stored density and dipole and validated
-    against its defining formula on construction.
-    """
+    """SI anchors converting the scaled susceptibility to physics."""
 
     density: float        # atoms / m^3
     dipole_sq: float      # |mu31|^2, C^2 m^2
     gamma3: float         # rad/s
     wavelength: float     # m
     length: float         # m
-    k: float              # rad/s, density * dipole_sq / (eps0 hbar)
 
     def __post_init__(self):
         require_finite(self)
         if self.density < 0 or self.dipole_sq <= 0 or self.gamma3 <= 0 \
                 or self.wavelength <= 0 or self.length <= 0:
             raise ValueError("physical scale entries must be positive")
-        expected = self.density * self.dipole_sq / (const.epsilon_0 * const.hbar)
-        if abs(self.k - expected) > 1e-12 * max(abs(expected), 1.0):
-            raise ValueError("k inconsistent with density * |mu31|^2 / (eps0 hbar)")
+        if not math.isfinite(self.k):
+            raise ValueError("PhysicalScale: k must be finite")
+
+    @property
+    def k(self) -> float:
+        """density * |mu31|^2 / (eps0 hbar), rad/s."""
+        return self.density * self.dipole_sq / (const.epsilon_0 * const.hbar)
 
     @property
     def probe_omega(self) -> float:
@@ -112,9 +107,8 @@ def physical_scale(density: float, length: float = 1e-3,
             f"wavelength {wavelength!r} m, gamma3 {gamma3!r} rad/s and branch "
             f"fraction {branch_fraction!r} give no finite positive dipole "
             f"(|mu|^2 = {dipole_sq!r})")
-    k = density * dipole_sq / (const.epsilon_0 * const.hbar)
     return PhysicalScale(density=density, dipole_sq=dipole_sq, gamma3=gamma3,
-                         wavelength=wavelength, length=length, k=k)
+                         wavelength=wavelength, length=length)
 
 
 @dataclass(frozen=True)
@@ -314,13 +308,6 @@ def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
         np.zeros(flat.size, dtype=int), flat, with_tangent))
 
 
-def susceptibility(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
-                   doppler: DopplerConfig | None = None) -> complex:
-    """Scaled chi_s at the drive's own probe detuning."""
-    evaluator = make_chi_evaluator(system, drive, pump, doppler=doppler)
-    return evaluator(drive.two_photon_detuning)
-
-
 def scan_evaluator(evaluator: Callable, grid: np.ndarray) -> SusceptibilitySpectrum:
     """Scan a chi(two-photon-detuning) evaluator over a grid in one call.
 
@@ -360,23 +347,21 @@ def dispersion_slope(chi_source: Callable, x0: float, step: float) -> float:
     return (4.0 * fine - coarse) / 3.0
 
 
-def group_index(chi_s: complex, slope_s: float, scale: PhysicalScale,
-                omega: float | None = None) -> GroupIndexResult:
+def group_index(chi_s: complex, slope_s: float,
+                scale: PhysicalScale) -> GroupIndexResult:
     """Group index from the scaled susceptibility and its detuning slope.
 
     Uses n = sqrt(1 + Re chi) and n_g = n + (omega / 2n) d Re(chi)/d omega,
     dropping the imaginary part (absorption or gain does not enter the
     group velocity here). ``slope_s`` is per gamma3 unit of detuning.
     """
-    if omega is None:
-        omega = scale.probe_omega
     chi = scale.chi_from_scaled(chi_s)
     radicand = 1.0 + chi.real
     if radicand <= 0:
         raise BranchCutError(f"1 + Re(chi) = {radicand:.3e} <= 0")
     dre_domega = (scale.k / scale.gamma3 ** 2) * slope_s
     n = math.sqrt(radicand)
-    n_g = n + omega / (2.0 * n) * dre_domega
+    n_g = n + scale.probe_omega / (2.0 * n) * dre_domega
     v_g = const.c / n_g if n_g != 0 else math.inf
     return GroupIndexResult(n=n, dre_chi_domega=dre_domega, n_g=n_g, v_g=v_g)
 
@@ -391,42 +376,22 @@ def group_index_at(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
 
 
 def doppler_average(evaluate_at_shift: Callable[[np.ndarray], np.ndarray],
-                    config: DopplerConfig,
-                    check_convergence: bool = False) -> complex:
+                    config: DopplerConfig) -> complex:
     """Gauss-Hermite average over the one-photon Doppler shift.
 
     ``evaluate_at_shift`` receives the one-photon shifts of all nodes as
     one array, in gamma3 units (the two-photon detuning is velocity
     independent in the co-propagating geometry), and returns the values
-    along its last axis; leading axes are averaged independently. With
-    ``check_convergence`` the quadrature is repeated with half again as
-    many nodes and must agree to 1e-3 relative; a refined rule beyond
-    HERMITE_MAX_NODES fails with QuadratureError.
+    along its last axis; leading axes are averaged independently.
     """
-    refined_nodes = round(1.5 * config.nodes)
-    if check_convergence and refined_nodes > HERMITE_MAX_NODES:
-        raise QuadratureError(f"refined rule needs {refined_nodes} nodes, "
-                              f"more than {HERMITE_MAX_NODES}")
-
-    def quadrature(nodes: int):
-        x, w = np.polynomial.hermite.hermgauss(nodes)
-        shifts = math.sqrt(2.0) * config.shift_sigma * x
-        values = np.asarray(evaluate_at_shift(shifts))
-        values = np.broadcast_to(values, values.shape[:-1] + shifts.shape)
-        total = 0.0 + 0.0j
-        for k, weight in enumerate(w):  # node by node: independent of the batch
-            total = total + weight * values[..., k]
-        return total / math.sqrt(math.pi)
-
-    value = quadrature(config.nodes)
-    if check_convergence:
-        refined = quadrature(refined_nodes)
-        if abs(refined - value) > 1e-3 * max(abs(refined), 1e-300):
-            raise QuadratureError(
-                f"velocity average changed by {abs(refined - value):.3e} "
-                f"({config.nodes} -> {refined_nodes} nodes)")
-        return refined
-    return value
+    x, w = np.polynomial.hermite.hermgauss(config.nodes)
+    shifts = math.sqrt(2.0) * config.shift_sigma * x
+    values = np.asarray(evaluate_at_shift(shifts))
+    values = np.broadcast_to(values, values.shape[:-1] + shifts.shape)
+    total = 0.0 + 0.0j
+    for k, weight in enumerate(w):  # node by node: independent of the batch
+        total = total + weight * values[..., k]
+    return total / math.sqrt(math.pi)
 
 
 def pump_sweep(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
@@ -467,11 +432,6 @@ def _eit_liouvillian(config: ThreeLevelConfig) -> np.ndarray:
     l0 += dissipator_superop(ketbra(1, 1, 3), config.gamma2_deph)
     l0 += dissipator_superop(ketbra(2, 2, 3), config.gamma3_deph)
     return l0
-
-
-def eit_susceptibility(config: ThreeLevelConfig, delta_p: float) -> complex:
-    """Scaled chi_s of the standard resonant-coupling Lambda system."""
-    return make_eit_evaluator(config)(delta_p)
 
 
 def make_eit_evaluator(config: ThreeLevelConfig) -> Callable:

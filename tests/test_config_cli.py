@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ramanlight.config import (ConfigError, PresetError, UnitMismatchError,
-                               parse_config, preset, PRESET_BUILDERS)
+from ramanlight.config import (ConfigError, PresetError, ScenarioConfig,
+                               UnitMismatchError, parse_config, preset,
+                               PRESET_BUILDERS)
 from ramanlight.cli import main, run_scenario
 from ramanlight import cli, tables
 from ramanlight.atom import PumpModel
@@ -56,10 +57,13 @@ class TestParseConfig:
         ("[grid]\nhalf_width_gamma3 = 1\npoints = 0\n", 3, "points"),
         ("[scale]\nlength_m = -1\n", 2, "positive"),
         ("[scale]\nwavelength_m = 0\n", 2, "positive"),
+        ("[scale]\nwavelength_m = 1e100\n", 2, "k must be finite"),
         ("[pulse]\nsamples = 1000\n", 2, "samples"),
         ("[pulse]\nsigma_s = 1e-6\nwindow_s = 10e-6\n[grid]\npoints = 5\n", 3,
          "window"),
         ("[doppler]\nnodes = 4\n", 2, "nodes"),
+        ("[drive]\nomega_c_gamma3 = 10\nomega_c_gamma3 = 20\n", 3, "twice"),
+        ("[drive]\ndelta_p_gamma3 = 95\n", 2, "unknown key 'delta_p_gamma3'"),
     ])
     def test_rejected_section_reports_its_last_line(self, text, line, field):
         # each was once accepted, or rejected without a line, and failed later
@@ -222,12 +226,14 @@ class TestCli:
         config = preset("fig2c")
         assert config.drive.omega_c == 30.0
         assert config.drive.delta == 0.2
-        from ramanlight.cli import _flatten
-        flat = _flatten(config)
-        assert flat["drive.omega_c"] == 30.0
-        assert flat["drive.delta"] == 0.2
-        assert flat["system.omega43"] == 140.0
-        assert flat["system.gamma2_deph"] == 0.01
+        assert config.system.omega43 == 140.0
+        assert config.system.gamma2_deph == 0.01
+
+    def test_unknown_scenario_lists_every_runner(self, tmp_path):
+        # once listed only the presets, though scan, pulse and sweep also run
+        with pytest.raises(PresetError, match="scan") as err:
+            run_scenario(ScenarioConfig(scenario="fig9"), tmp_path)
+        assert all(name in str(err.value) for name in ("fig2a", "pulse", "sweep"))
 
     def test_unknown_scenario_fails_nonzero(self, tmp_path, capsys):
         code = main(["scenario", "fig9", "--out", str(tmp_path)])

@@ -94,8 +94,7 @@ class TestPropagation:
 
     def test_linearity(self):
         pulse = synthesize_gaussian(1e-6, 32e-6, 2 ** 14)
-        doubled = Pulse(times=pulse.times, envelope=2.0 * pulse.envelope,
-                        center_time=pulse.center_time)
+        doubled = Pulse(times=pulse.times, envelope=2.0 * pulse.envelope)
         spectrum = flat_spectrum(3e-5 + 1e-5j)
         out_one = propagate(pulse, spectrum, SCALE, BAND)
         out_two = propagate(doubled, spectrum, SCALE, BAND)
@@ -145,16 +144,13 @@ class TestMetrics:
 
     def test_single_sample_shift(self):
         pulse = synthesize_gaussian(1e-6, 32e-6, 2 ** 14)
-        shifted = Pulse(times=pulse.times,
-                        envelope=np.roll(pulse.envelope, 1),
-                        center_time=pulse.center_time)
+        shifted = Pulse(times=pulse.times, envelope=np.roll(pulse.envelope, 1))
         summary = metrics(pulse, shifted, pulse)
         assert summary.peak_delay == pytest.approx(pulse.dt, rel=0.01)
 
     def test_no_peak_error(self):
         times = np.linspace(0.0, 1.0, 64)
-        flat = Pulse(times=times, envelope=np.zeros(64, dtype=complex),
-                     center_time=0.5)
+        flat = Pulse(times=times, envelope=np.zeros(64, dtype=complex))
         with pytest.raises(NoPeakError):
             metrics(flat, flat, flat)
 
@@ -169,13 +165,12 @@ class TestPulseValidation:
     def test_non_uniform_grid_rejected(self):
         times = np.array([0.0, 1.0, 3.0])
         with pytest.raises(ValueError):
-            Pulse(times=times, envelope=np.ones(3, dtype=complex),
-                  center_time=1.0)
+            Pulse(times=times, envelope=np.ones(3, dtype=complex))
 
     def test_non_finite_envelope_rejected(self):
         times = np.linspace(0.0, 1.0, 8)
         envelope = np.ones(8, dtype=complex)
         envelope[3] = np.nan
         with pytest.raises(ValueError):
-            Pulse(times=times, envelope=envelope, center_time=0.5)
+            Pulse(times=times, envelope=envelope)
 
