@@ -1,0 +1,8 @@
+"""``python -m ramanlight``: the command-line interface of ``ramanlight.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

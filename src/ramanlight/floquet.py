@@ -7,9 +7,14 @@ the block-tridiagonal balance equations
 
 for |n| <= order, with one scalar equation replaced by trace(rho_0) = 1.
 A matrix continued fraction solves the system exactly, for a whole batch
-of generators at once (one stacked dim^2 x dim^2 solve per harmonic n > 0).
-The generator keeps rho(t) Hermitian (``solve_batch`` checks it), so
+of generators at once (one stacked solve per harmonic n > 0). The
+generator keeps rho(t) Hermitian (``solve_batch`` checks it), so
 rho_-n = rho_n^dagger and the n < 0 side of the fraction is mirrored.
+When a level parity U = diag(+-1) keeps L0 and flips L(+-1), as
+diag(1, -1, 1, 1) does for the coupling pair that touches only |2>,
+even harmonics live in one sector of vec(rho) and odd ones in the other,
+so the fraction runs on 10 x 10 and 6 x 6 blocks instead of 16 x 16; a
+generator without such a parity runs the same recursion on every entry.
 
 An independent oracle integrates the master equation with a fixed-step RK4
 scheme: the one-period propagator and the period-average operator are built
@@ -28,11 +33,14 @@ import numpy as np
 from .atom import DegenerateModelError, LiouvillianHarmonics
 
 MAX_ORDER = 25
-# continued-fraction storage of one solve chunk: n * 4 KiB of S_n (n > 0)
-# per member at order n, plus n * 256 B with the tangent. The size was
-# chosen on fig4 when T_n was stored too. The live memory of a full chunk
-# is about twice the budget (tracemalloc on the rate-batched pump sweep)
-CHUNK_BYTES = 2 ** 20
+# storage of one solve chunk (``solve_converged_batch`` counts it): a member
+# at order n keeps, per harmonic 0 < k <= n, S_k (60 numbers between the
+# 10/6 sectors of the paper's model, 256 without a parity) and rho_+-k (32);
+# with the tangent also g_k (at most 10) and y_+-k (32). 368 KiB holds as
+# many split members as 1 MiB of 16 x 16 S_k blocks did, fewer with the
+# tangent. The residual check's temporaries come on top: tracemalloc puts
+# the live peak of a chunk at 2 to 2.5 times this count
+CHUNK_BYTES = 368 * 2 ** 10
 COMPLEX_BYTES = 16
 
 
@@ -135,9 +143,8 @@ def _transposition(dim2: int) -> np.ndarray:
     return np.arange(dim2).reshape(dim, dim).T.ravel()
 
 
-def _mirror(m: np.ndarray) -> np.ndarray:
-    """J(M) = P conj(M) P of a (..., dim^2, dim^2) stack."""
-    perm = _transposition(m.shape[-1])
+def _mirror(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """J(M) = P conj(M) P of a (..., k, k) stack, P given as ``perm``."""
     return m.conj()[..., perm[:, None], perm]
 
 
@@ -148,23 +155,64 @@ def _require_mirror(m: np.ndarray, image: np.ndarray, identity: str) -> None:
     entry passes: the residual check reports its member.
     """
     scale = np.maximum(1.0, np.abs(image).max(axis=(-2, -1)))
-    if np.any(np.abs(_mirror(m) - image).max(axis=(-2, -1)) > 1e-13 * scale):
+    mirrored = _mirror(m, _transposition(m.shape[-1]))
+    if np.any(np.abs(mirrored - image).max(axis=(-2, -1)) > 1e-13 * scale):
         raise ValueError(f"{identity} is broken: rho(t) would not stay Hermitian")
 
 
-def _fraction_blocks(l0, lm, delta: float, s: np.ndarray, members=slice(None)):
-    """A_n = L0 - i n delta + L(-1) S_{n+1} for n = order ... 1.
+def _level_parities(dim: int) -> np.ndarray:
+    """ad_U of every level parity U = diag(+-1) but +-I, as the sign
+    u_i u_j it gives each vec(rho) entry (i, j): (2^(dim-1) - 1, dim^2)."""
+    codes = 2 * np.arange(1, 2 ** (dim - 1))    # bit i set: u_i = -1, so u_0 = 1
+    u = 1 - 2 * ((codes[:, None] >> np.arange(dim)) & 1)
+    return (u[:, :, None] * u[:, None, :]).reshape(codes.size, dim * dim)
 
-    Yields (n, A_n). ``l0`` holds the given ``members`` of the batch that
-    ``s`` covers. A_n reads s[n], so the continued fraction fills s[n]
-    before it asks for the next block.
+
+def _sectors(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray) -> list:
+    """The members of a batch grouped by level parity, as (members, even,
+    odd) index arrays into the batch and into vec(rho).
+
+    A member has the parity U when ad_U keeps every finite entry of its L0
+    and flips L(+1) and L(-1); the even sector holds the entries that ad_U
+    keeps, the odd one those it flips. NaN and inf entries are ignored
+    (the residual check reports such a member), and each member's parity
+    depends on that member alone, so one member never changes another's
+    split. A member with several parities takes the first; one with none
+    (only +-I, which flips nothing) takes even = odd = every entry.
     """
-    eye = np.eye(lm.shape[0])
-    order = s.shape[0]
+    batch, dim2, _ = l0.shape
+    signs = _level_parities(math.isqrt(dim2))
+    flips = (signs[:, :, None] != signs[:, None, :]).reshape(signs.shape[0], -1)
+    drive = ((lp != 0) | (lm != 0)).reshape(-1)
+    static = (np.isfinite(l0) & (l0 != 0)).reshape(batch, -1)
+    kept = ~(static @ flips.T) & np.all(flips | ~drive, axis=1)
+    choice = np.where(kept.any(axis=1), kept.argmax(axis=1), -1)
+    groups = []
+    for c in np.unique(choice):
+        members = np.flatnonzero(choice == c)
+        if c < 0:
+            groups.append((members, np.arange(dim2), np.arange(dim2)))
+        else:
+            groups.append((members, np.flatnonzero(signs[c] > 0),
+                           np.flatnonzero(signs[c] < 0)))
+    return groups
+
+
+def _fraction_blocks(blocks, lm_blocks, delta: float, s: list, members=slice(None)):
+    """A_n = L0 - i n delta + L(-1) S_{n+1} for n = order ... 1, on the
+    sector of n's parity.
+
+    Yields (n, A_n). ``blocks`` holds L0 on the even and on the odd sector
+    for the given ``members`` of the batch that ``s`` covers, ``lm_blocks``
+    L(-1) into each sector. A_n reads s[n], so the continued fraction fills
+    s[n] before it asks for the next block.
+    """
+    eyes = [np.eye(b.shape[-1]) for b in blocks]
+    order = len(s)
     for n in range(order, 0, -1):
-        a = l0 - (1j * n * delta) * eye
+        a = blocks[n % 2] - (1j * n * delta) * eyes[n % 2]
         if n < order:
-            a += lm @ s[n][members]
+            a += lm_blocks[n % 2] @ s[n][members]
         yield n, a
 
 
@@ -185,27 +233,36 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     solved: J(L0) = L0 and J(L(+1)) = L(-1) (``_mirror``; ``solve_batch``
     checks both), and J is multiplicative, so T_n = J(S_n),
     L(+1) T_1 = J(L(-1) S_1) and rho_-n = P conj(rho_n) = rho_n^dagger.
+
+    The recursion runs on parity sectors (``_sectors``). When ad_U, for a
+    level parity U = diag(+-1), keeps L0 and flips L(+-1), then U with the
+    half-period shift t -> t + pi/delta is a symmetry of the generator, so
+    ad_U rho_n = (-1)^n rho_n: even harmonics live in the even sector E,
+    odd ones in the odd sector O, and the rest of each harmonic is exactly
+    0. A_n is then |E| x |E| or |O| x |O| by n's parity, S_n maps the
+    sector of n - 1 to that of n, and the zeroth-harmonic system is
+    |E| x |E| (E holds the populations, so the trace row too). In the
+    paper's model the couplings touch only |2>: U = diag(1, -1, 1, 1),
+    |E| = 10 and |O| = 6. Members without such a parity run the same
+    recursion with E = O = every entry, and members of different parities
+    are solved as separate groups, so a member's result does not depend on
+    the batch. The residual check of ``solve_batch`` reads the full
+    system, so it also verifies the reduction. The reduction never forms
+    the other parity (odd sector at even n, even sector at odd n), whose
+    system is homogeneous: where it is singular, the steady state is not
+    unique, and the parity-even one is returned without an error.
+
     Returns the vectorised harmonics, (batch, 2 order + 1, dim^2), n
     ascending, and the tangent pass of this solve (``tangent`` below).
     """
     batch, dim2, _ = l0.shape
     dim = math.isqrt(dim2)
-    perm = _transposition(dim2)
-    s = np.empty((order, batch, dim2, dim2), dtype=complex)
-    for n, a in _fraction_blocks(l0, lm, delta, s):
-        s[n - 1] = _solve_stack(a, -lp)
-
-    closing = lm @ s[0]
-    m0 = l0 + closing + _mirror(closing)
-    m0[:, 0] = 0.0
-    m0[:, 0, np.arange(dim) * (dim + 1)] = 1.0
-    e0 = np.zeros((dim2, 1), dtype=complex)
-    e0[0] = 1.0
     x = np.empty((batch, 2 * order + 1, dim2), dtype=complex)
-    x[:, order] = _solve_stack(m0, e0)[..., 0]
-    for n in range(1, order + 1):
-        x[:, order + n] = (s[n - 1] @ x[:, order + n - 1, :, None])[..., 0]
-    x[:, order - 1::-1] = x[:, order + 1:, perm].conj()
+    parts = []
+    for members, even, odd in _sectors(l0, lp, lm):
+        x[members], tangent_of = _sector_fraction(l0, members, lp, lm, delta,
+                                                  order, even, odd)
+        parts.append((members, tangent_of))
 
     def tangent(members, dl0: np.ndarray) -> np.ndarray:
         """dx/dp of the given members when their L0 moves by dL0/dp = dl0.
@@ -220,33 +277,92 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
 
         and m0 y_0 = r_0 - L(+1) h_1 - L(-1) g_1 with trace(y_0) = 0, where
         A_n, S_n and m0 are those formed above; J(dl0) = dl0 (else
-        ValueError) gives h_n = P conj(g_n) and y_-n = P conj(y_n). Returns
+        ValueError) gives h_n = P conj(g_n) and y_-n = P conj(y_n). A dl0
+        that breaks a group's parity would move y into the other sector, so
+        that group is solved again with E = O = every entry for it. Returns
         y, (len(members), 2 order + 1, dim, dim).
         """
         _require_mirror(dl0, dl0, "J(dL0) = dL0")
-        xs = x[members]
-        count = xs.shape[0]
-        # (order, count, dim^2, 1): r_n, overwritten by g_n, then by y_n
-        w = dl0 @ xs[:, order + 1:].swapaxes(0, 1)[..., None]
-        np.negative(w, out=w)
-        for n, a in _fraction_blocks(l0[members], lm, delta, s, members):
-            if n < order:
-                w[n - 1] -= lm @ w[n]
-            w[n - 1] = _solve_stack(a, w[n - 1])
-
-        closing = lm @ w[0]
-        b0 = -(dl0 @ xs[:, order, :, None]) - closing - closing[:, perm].conj()
-        b0[:, 0] = 0.0
-        y0 = _solve_stack(m0[members], b0)
-        for n in range(1, order + 1):
-            w[n - 1] += s[n - 1][members] @ (w[n - 2] if n > 1 else y0)
-        y = np.empty_like(xs)
-        y[:, order] = y0[..., 0]
-        y[:, order + 1:] = w[..., 0].swapaxes(0, 1)
-        y[:, order - 1::-1] = y[:, order + 1:, perm].conj()
-        return y.reshape(count, 2 * order + 1, dim, dim)
+        members = np.arange(batch)[members]
+        y = np.empty((members.size, 2 * order + 1, dim, dim), dtype=complex)
+        for group, tangent_of in parts:
+            rows = np.flatnonzero(np.isin(members, group))
+            if rows.size:
+                y[rows] = tangent_of(members[rows], x[members[rows]], dl0)
+        return y
 
     return x, tangent
+
+
+def _sector_fraction(l0: np.ndarray, members: np.ndarray, lp: np.ndarray,
+                     lm: np.ndarray, delta: float, order: int, even: np.ndarray,
+                     odd: np.ndarray):
+    """``_continued_fraction`` of the given ``members`` of the batch ``l0``,
+    which share the sectors ``even`` and ``odd``.
+
+    Returns their harmonics, full-size with exact zeros outside each
+    harmonic's sector, and ``tangent(chosen, xs, dl0)``, the tangent pass of
+    the chosen batch members (a subset of ``members``) with harmonics xs.
+    """
+    dim2 = l0.shape[1]
+    dim = math.isqrt(dim2)
+    perm = _transposition(dim2)
+    sectors = (even, odd)
+    blocks = [l0[members[:, None, None], p[:, None], p] for p in sectors]
+    # L(+-1) into the sector of n's parity from that of n -+ 1
+    lp_blocks = [lp[sectors[p][:, None], sectors[1 - p]] for p in (0, 1)]
+    lm_blocks = [lm[sectors[p][:, None], sectors[1 - p]] for p in (0, 1)]
+    s: list = [None] * order
+    for n, a in _fraction_blocks(blocks, lm_blocks, delta, s):
+        s[n - 1] = _solve_stack(a, -lp_blocks[n % 2])
+
+    # J on the even sector: P maps it to itself
+    perm_even = np.searchsorted(even, perm[even])
+    trace_row = np.searchsorted(even, np.arange(dim) * (dim + 1))
+    closing = lm_blocks[0] @ s[0]
+    m0 = blocks[0] + closing + _mirror(closing, perm_even)
+    m0[:, 0] = 0.0
+    m0[:, 0, trace_row] = 1.0
+    e0 = np.zeros((even.size, 1), dtype=complex)
+    e0[0] = 1.0
+
+    def harmonics(y0: np.ndarray, terms) -> np.ndarray:
+        """Full-size harmonics from the sector vectors y_n = terms(n, y_{n-1})."""
+        y = np.zeros((y0.shape[0], 2 * order + 1, dim2), dtype=complex)
+        y[:, order, even] = y0[..., 0]
+        for n in range(1, order + 1):
+            y0 = terms(n, y0)
+            y[:, order + n, sectors[n % 2]] = y0[..., 0]
+        y[:, order - 1::-1] = y[:, order + 1:, perm].conj()
+        return y
+
+    def tangent(chosen: np.ndarray, xs: np.ndarray, dl0: np.ndarray) -> np.ndarray:
+        if even.size < dim2 and (np.any(dl0[even[:, None], odd])
+                                 or np.any(dl0[odd[:, None], even])):
+            every = np.arange(dim2)
+            x_every, tangent_every = _sector_fraction(l0, chosen, lp, lm, delta,
+                                                      order, every, every)
+            return tangent_every(chosen, x_every, dl0)
+        local = np.searchsorted(members, chosen)
+        dl0_blocks = [dl0[p[:, None], p] for p in sectors]
+        # g_n, from n = order down
+        g: list = [None] * order
+        for n, a in _fraction_blocks([b[local] for b in blocks], lm_blocks,
+                                     delta, s, local):
+            r = -(dl0_blocks[n % 2] @ xs[:, order + n, sectors[n % 2], None])
+            if n < order:
+                r -= lm_blocks[n % 2] @ g[n]
+            g[n - 1] = _solve_stack(a, r)
+
+        closing = lm_blocks[0] @ g[0]
+        b0 = (-(dl0_blocks[0] @ xs[:, order, even, None]) - closing
+              - closing[:, perm_even].conj())
+        b0[:, 0] = 0.0
+        y = harmonics(_solve_stack(m0[local], b0),
+                      lambda n, prev: g[n - 1] + s[n - 1][local] @ prev)
+        return y.reshape(chosen.size, 2 * order + 1, dim, dim)
+
+    return harmonics(_solve_stack(m0, e0), lambda n, prev: s[n - 1] @ prev), tangent
 
 
 def _residual_errors(x: np.ndarray, l0, lp, lm, delta: float,
@@ -360,8 +476,10 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
     given member indices. Each member starts at its seed in ``orders`` and
     raises its order n to max(n + 2, ceil(1.4 n)), at most ``cap``. Members
     at the same order are solved together in chunks of at most CHUNK_BYTES
-    of continued-fraction storage; only those whose tail fails climb, also
-    when ``solve_batch`` flags them below ``cap`` with finite harmonics.
+    of storage, counted with the parity sectors of the group's first member
+    (a member without them keeps about three times more); only those whose
+    tail fails climb, also when ``solve_batch`` flags them below ``cap``
+    with finite harmonics.
     Returns rho_0, (1, batch, dim, dim), with ``dl0`` (dL0/dp of every
     member) stacked on d rho_0/dp, (2, batch, dim, dim), from one tangent
     pass per accepted chunk, counted in its storage; the accepted orders;
@@ -371,8 +489,6 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
     orders = np.minimum(np.asarray(orders, dtype=int), cap)
     dim2 = lp.shape[0]
     dim = math.isqrt(dim2)
-    # per harmonic n > 0 (n < 0 is mirrored): S_n and the tangent's vector
-    stored = dim2 * dim2 + (0 if dl0 is None else dim2)
     rho0 = np.full((1 if dl0 is None else 2, orders.size, dim, dim), np.nan,
                    dtype=complex)
     accepted = np.zeros(orders.size, dtype=int)
@@ -383,6 +499,12 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
         for n in np.unique(orders[pending]):
             n = int(n)
             group = pending[orders[pending] == n]
+            # per harmonic k > 0 (k < 0 is mirrored), with the sectors of the
+            # group's first member: S_k, rho_+-k, and g_k and y_+-k
+            _, even, odd = _sectors(l0_of(group[:1]), lp, lm)[0]
+            stored = even.size * odd.size + 2 * dim2
+            if dl0 is not None:
+                stored += max(even.size, odd.size) + 2 * dim2
             chunk = max(1, CHUNK_BYTES // (n * stored * COMPLEX_BYTES))
             for start in range(0, group.size, chunk):
                 members = group[start:start + chunk]

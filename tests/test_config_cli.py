@@ -1,6 +1,9 @@
 """Configuration grammar, presets and the command-line entry point."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +264,16 @@ class TestCli:
         # 41 points spanning 5 delta of fig2a's delta = 0.1
         assert grid.size == 41
         assert grid[-1] == 0.5
+
+    def test_runs_as_module(self):
+        # -I without -P: -m finds the package in the working directory only
+        done = subprocess.run(
+            [sys.executable, "-E", "-s", "-m", "ramanlight", "--help"],
+            cwd=Path(__file__).resolve().parent.parent / "src",
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert "scenario" in done.stdout
+        assert "RuntimeWarning" not in done.stderr
 
     def test_sweep_command(self, tmp_path):
         config_path = tmp_path / "sweep.cfg"

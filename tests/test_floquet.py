@@ -1,6 +1,7 @@
 """Harmonic-balance solver against closed forms and the time-domain oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ import scipy.linalg
 
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian,
-                             detuning_generators, dissipator_superop, ketbra)
+                             detuning_generators, dissipator_superop,
+                             hamiltonian_superop, ketbra)
 from ramanlight import floquet
+from ramanlight.config import PRESET_BUILDERS, preset
+from ramanlight.spectra import ThreeLevelConfig, _eit_liouvillian
 from ramanlight.floquet import (MAX_ORDER, ConvergenceError, choose_truncation,
                                 extract_dc_coherences, harmonic_tail_ok,
                                 integrate_to_period_average, solve_batch,
@@ -47,6 +51,21 @@ def assemble_dense(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
 
 def liouvillian(drive=PAPER_DRIVE, rate=0.0, system=SYSTEM):
     return build_liouvillian(system, drive, PumpModel.direct(rate))
+
+
+def static_23(coupling=1.0):
+    """-i[H, .] of a static |2>-|3> coupling: it breaks the level parity."""
+    return hamiltonian_superop(coupling * (ketbra(1, 2) + ketbra(2, 1)))
+
+
+def without_parity(liouv):
+    """``liouv`` plus a static |2>-|3> coupling: no level parity is left."""
+    return replace(liouv, l0=liouv.l0 + static_23(0.5))
+
+
+# ad_U of U = diag(1, -1, 1, 1) keeps these vec(rho) entries: rho_22 and
+# every rho_ij with i, j != 2
+PAPER_EVEN = np.flatnonzero(np.outer([1, -1, 1, 1], [1, -1, 1, 1]).ravel() > 0)
 
 
 def dense_harmonics(liouv, delta, order):
@@ -135,6 +154,83 @@ class TestContinuedFraction:
             assert np.array_equal(rho0[1, b], tangent([0], per_d2)[0, order])
 
 
+class TestParitySectors:
+    """U = diag(1, -1, 1, 1) with t -> t + pi/delta is a symmetry of the
+    paper's generator: even harmonics live on 10 entries, odd ones on 6."""
+
+    @pytest.mark.parametrize("lindblad_form", [False, True])
+    @pytest.mark.parametrize("name", sorted(PRESET_BUILDERS))
+    def test_every_preset_drive_splits_ten_six(self, name, lindblad_form):
+        config = preset(name)
+        shifted = config.drive.at_two_photon_detuning(0.07).doppler_shifted(-3.0)
+        l0 = np.stack([build_liouvillian(config.system, drive,
+                                         PumpModel.direct(rate, lindblad_form)).l0
+                       for drive in (config.drive, shifted) for rate in (0.0, 0.3)])
+        liouv = build_liouvillian(config.system, config.drive, config.pump)
+        [(members, even, odd)] = floquet._sectors(l0, liouv.l_plus, liouv.l_minus)
+        assert members.tolist() == [0, 1, 2, 3]
+        assert even.tolist() == PAPER_EVEN.tolist()
+        assert odd.tolist() == sorted(set(range(16)) - set(PAPER_EVEN))
+
+    def test_generators_without_parity_keep_every_entry(self):
+        eit = _eit_liouvillian(ThreeLevelConfig(omega_c=0.5))
+        paper = without_parity(liouvillian(rate=0.4))
+        no_drive = np.zeros_like(eit)
+        for l0, lp, lm in ((eit, no_drive, no_drive),
+                           (paper.l0, paper.l_plus, paper.l_minus)):
+            [(members, even, odd)] = floquet._sectors(l0[None], lp, lm)
+            assert members.tolist() == [0]
+            assert even.tolist() == odd.tolist() == list(range(l0.shape[0]))
+
+    # TestContinuedFraction and TestTangent check the sector path against
+    # the dense system; these check the path on every entry
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    @pytest.mark.parametrize("order", [1, 10, 14])
+    def test_without_parity_matches_dense(self, order, rate):
+        liouv = without_parity(liouvillian(rate=rate))
+        assert_matches_dense(solve_floquet(liouv, 0.2, order), liouv)
+        TestTangent.assert_matches_dense_tangent(liouv, order)
+
+    def test_without_parity_doppler_shifted_class_at_high_order(self):
+        liouv = without_parity(liouvillian(PAPER_DRIVE.doppler_shifted(-60.0), rate=0.2))
+        fd = solve_floquet(liouv, 0.2, 120)
+        assert np.abs(fd.harmonic(120)).max() > 1e-6 * np.abs(fd.harmonic(0)).max()
+        assert_matches_dense(fd, liouv)
+        TestTangent.assert_matches_dense_tangent(liouv, 120)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_harmonics_vanish_outside_their_sector(self, rate):
+        harmonics = solve_floquet(liouvillian(rate=rate), 0.2, 14).harmonics
+        harmonics = harmonics.reshape(29, 16)
+        parity = np.arange(-14, 15) % 2
+        odd = np.setdiff1d(np.arange(16), PAPER_EVEN)
+        assert np.all(harmonics[parity == 0][:, odd] == 0.0)
+        assert np.all(harmonics[parity == 1][:, PAPER_EVEN] == 0.0)
+        # the odd harmonics of the probe coherences rho31 and rho41 vanish;
+        # the even ones carry the +-2 delta sidebands
+        assert np.all(harmonics[parity == 1][:, [8, 12]] == 0.0)
+        assert np.all(harmonics[[12, 16]][:, [8, 12]] != 0.0)
+
+    def test_mixed_batch_members_are_independent(self):
+        per_d2 = detuning_generators()[0]
+        paper = liouvillian(rate=0.4)
+        broken = without_parity(paper)
+        stack = np.stack([paper.l0, broken.l0, paper.l0, broken.l0 + 0.1 * per_d2,
+                          paper.l0 + 0.1 * per_d2])
+        stack[2] = np.nan        # one unusable member
+        harmonics, errors, tangent = solve_batch(stack, paper.l_plus, paper.l_minus,
+                                                 0.2, 10)
+        assert list(errors) == [2]
+        subset = tangent(np.array([4, 1, 0, 3]), per_d2)
+        for row, b in enumerate((4, 1, 0, 3)):
+            alone, _, alone_tangent = solve_batch(stack[b:b + 1], paper.l_plus,
+                                                  paper.l_minus, 0.2, 10)
+            assert np.array_equal(harmonics[b], alone[0])
+            assert np.array_equal(subset[row], alone_tangent([0], per_d2)[0])
+        alone, _, _ = solve_batch(stack[2:3], paper.l_plus, paper.l_minus, 0.2, 10)
+        assert np.array_equal(harmonics[2], alone[0], equal_nan=True)
+
+
 class TestMirrorPrecondition:
     """The n < 0 side is mirrored from n > 0: inputs must keep rho Hermitian."""
 
@@ -184,6 +280,16 @@ class TestTangent:
     def test_doppler_shifted_class_at_high_order(self):
         liouv = liouvillian(PAPER_DRIVE.doppler_shifted(-60.0), rate=0.2)
         self.assert_matches_dense_tangent(liouv, 120)
+
+    def test_derivative_that_breaks_the_parity(self):
+        # y then lives in the other sector: the solve is redone on every entry
+        liouv = liouvillian(rate=0.4)
+        _, errors, tangent = solve_batch(liouv.l0[None], liouv.l_plus,
+                                         liouv.l_minus, 0.2, 10)
+        assert not errors
+        y = tangent([0], static_23())[0]
+        assert_harmonics_close(y, dense_tangent(liouv, 0.2, 10, static_23()), 1e-10)
+        assert np.abs(y[10]).max() > 0.0
 
     def test_members_of_a_batch(self):
         # the tangent of a subset equals the tangent of each member alone

@@ -241,11 +241,13 @@ class TestScan:
         evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
         grid = np.linspace(-1.0, 1.0, 2001)
         scan = scan_evaluator(evaluator, grid).chi
-        chunk = floquet.CHUNK_BYTES // (10 * 256 * 16)   # members at order 10
+        # members at order 10: S_n between the 10/6 sectors and rho_+-n
+        member = 10 * (60 + 32) * 16
+        chunk = floquet.CHUNK_BYTES // member
         for i in (0, chunk - 1, chunk, 1000, 1337, 2000):
             assert evaluator(grid[i]) == scan[i]
         # chunks of three members put a boundary next to every third point
-        monkeypatch.setattr(floquet, "CHUNK_BYTES", 3 * 10 * 256 * 16)
+        monkeypatch.setattr(floquet, "CHUNK_BYTES", 3 * member)
         assert np.array_equal(evaluator(grid[45:60]), scan[45:60])
 
     def test_tangent_independent_of_batch_and_chunk(self, monkeypatch):
@@ -253,8 +255,8 @@ class TestScan:
         grid = np.linspace(-1.0, 1.0, 2001)
         chi, dchi = evaluator.tangent(grid)
         assert np.array_equal(chi, evaluator(grid))
-        # members at order 10 with the tangent's vector per harmonic
-        member = 10 * (256 + 16) * 16
+        # members at order 10 with the tangent's g_n and y_+-n per harmonic
+        member = 10 * (60 + 32 + 10 + 32) * 16
         chunk = floquet.CHUNK_BYTES // member
         for i in (0, chunk - 1, chunk, 1000, 1337, 2000):
             assert evaluator.tangent(grid[i]) == (chi[i], dchi[i])
@@ -262,6 +264,27 @@ class TestScan:
         chunked = evaluator.tangent(grid[45:60])
         assert np.array_equal(chunked[0], chi[45:60])
         assert np.array_equal(chunked[1], dchi[45:60])
+
+    def test_chunks_hold_no_more_members_than_sixteen_by_sixteen_did(self, monkeypatch):
+        # 1 MiB of 16 x 16 S_n blocks (and the tangent's 16-vector) set the
+        # member counts before the parity sectors: the 10/6 sector count,
+        # four times smaller, must not raise them
+        evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
+        grid = np.linspace(-1.0, 1.0, 2001)
+        calls = []
+        solve = floquet.solve_batch
+
+        def recording(l0, lp, lm, delta, order):
+            calls.append((order, l0.shape[0]))
+            return solve(l0, lp, lm, delta, order)
+
+        monkeypatch.setattr(floquet, "solve_batch", recording)
+        for run, old_member in ((evaluator, 256), (evaluator.tangent, 256 + 16)):
+            calls.clear()
+            run(grid)
+            assert all(count <= 2 ** 20 // (order * old_member * 16)
+                       for order, count in calls)
+            assert max(count for _, count in calls) > 1
 
     def test_doppler_value_independent_of_batch(self):
         config = DopplerConfig(nodes=16)
