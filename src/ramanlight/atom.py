@@ -98,9 +98,8 @@ class DriveConfig:
         require_finite(self)
         if self.omega_c < 0 or self.omega_p < 0:
             raise ValueError("Rabi frequencies must be >= 0")
-        if self.omega_c > 0 and self.delta <= 0:
-            raise DegenerateModelError(
-                "delta must be positive while the coupling pair is active")
+        if self.delta <= 0:
+            raise DegenerateModelError("delta must be positive")
 
     def at_two_photon_detuning(self, value: float) -> "DriveConfig":
         """Probe moved so that delta_p - delta_c equals ``value``."""

@@ -13,8 +13,8 @@ rho_-n = rho_n^dagger and the n < 0 side of the fraction is mirrored.
 When a level parity U = diag(+-1) keeps L0 and flips L(+-1), as
 diag(1, -1, 1, 1) does for the coupling pair that touches only |2>,
 even harmonics live in one sector of vec(rho) and odd ones in the other,
-so the fraction runs on 10 x 10 and 6 x 6 blocks instead of 16 x 16; a
-generator without such a parity runs the same recursion on every entry.
+so the fraction runs on 10 x 10 and 6 x 6 blocks instead of 16 x 16. One
+split serves the whole batch; without such a parity it is every entry.
 
 An independent oracle integrates the master equation with a fixed-step RK4
 scheme: the one-period propagator and the period-average operator are built
@@ -34,13 +34,13 @@ from .atom import DegenerateModelError, LiouvillianHarmonics
 
 MAX_ORDER = 25
 # storage of one solve chunk (``solve_converged_batch`` counts it): a member
-# at order n keeps, per harmonic 0 < k <= n, S_k (60 numbers between the
-# 10/6 sectors of the paper's model, 256 without a parity) and rho_+-k (32);
-# with the tangent also g_k (at most 10) and y_+-k (32). 368 KiB holds as
-# many split members as 1 MiB of 16 x 16 S_k blocks did, fewer with the
-# tangent. The residual check's temporaries come on top: tracemalloc puts
-# the live peak of a chunk at 2 to 2.5 times this count
-CHUNK_BYTES = 368 * 2 ** 10
+# at order n keeps, per harmonic 0 < k <= n, S_k (at most dim^4 / 4 numbers
+# between two sectors: 64, 60 for the paper's 10/6 split) and rho_+-k (32);
+# with the tangent also g_k (at most 16) and y_+-k (32). At every ladder
+# order 384 KiB holds as many paper members as 1 MiB of 16 x 16 S_k blocks
+# did, fewer with the tangent. The residual check's temporaries come on
+# top: tracemalloc puts the live peak of a chunk at 2 to 2.5 times this count
+CHUNK_BYTES = 384 * 2 ** 10
 COMPLEX_BYTES = 16
 
 
@@ -168,56 +168,51 @@ def _level_parities(dim: int) -> np.ndarray:
     return (u[:, :, None] * u[:, None, :]).reshape(codes.size, dim * dim)
 
 
-def _sectors(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray) -> list:
-    """The members of a batch grouped by level parity, as (members, even,
-    odd) index arrays into the batch and into vec(rho).
+def _sectors(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
+             dl0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The (even, odd) split of vec(rho) indices that a whole batch shares.
 
-    A member has the parity U when ad_U keeps every finite entry of its L0
-    and flips L(+1) and L(-1); the even sector holds the entries that ad_U
-    keeps, the odd one those it flips. NaN and inf entries are ignored
-    (the residual check reports such a member), and each member's parity
-    depends on that member alone, so one member never changes another's
-    split. A member with several parities takes the first; one with none
-    (only +-I, which flips nothing) takes even = odd = every entry.
+    It is the split of the first level parity U whose ad_U keeps every
+    finite entry of every member's L0 and every entry of ``dl0``, and flips
+    L(+1) and L(-1): the even sector holds the entries that ad_U keeps, the
+    odd one those it flips. NaN and inf entries are ignored (the residual
+    check reports such a member). Without such a parity (only +-I, which
+    flips nothing) even = odd = every entry.
     """
-    batch, dim2, _ = l0.shape
+    dim2 = lp.shape[0]
     signs = _level_parities(math.isqrt(dim2))
     flips = (signs[:, :, None] != signs[:, None, :]).reshape(signs.shape[0], -1)
+    static = (np.isfinite(l0) & (l0 != 0)).any(axis=0)
+    if dl0 is not None:
+        static |= dl0 != 0
     drive = ((lp != 0) | (lm != 0)).reshape(-1)
-    static = (np.isfinite(l0) & (l0 != 0)).reshape(batch, -1)
-    kept = ~(static @ flips.T) & np.all(flips | ~drive, axis=1)
-    choice = np.where(kept.any(axis=1), kept.argmax(axis=1), -1)
-    groups = []
-    for c in np.unique(choice):
-        members = np.flatnonzero(choice == c)
-        if c < 0:
-            groups.append((members, np.arange(dim2), np.arange(dim2)))
-        else:
-            groups.append((members, np.flatnonzero(signs[c] > 0),
-                           np.flatnonzero(signs[c] < 0)))
-    return groups
+    kept = ~(flips @ static.reshape(-1)) & np.all(flips | ~drive, axis=1)
+    if not kept.any():
+        return np.arange(dim2), np.arange(dim2)
+    u = signs[kept.argmax()]
+    return np.flatnonzero(u > 0), np.flatnonzero(u < 0)
 
 
-def _fraction_blocks(blocks, lm_blocks, delta: float, s: list, members=slice(None)):
+def _fraction_blocks(blocks, lm_blocks, delta: float, s: list):
     """A_n = L0 - i n delta + L(-1) S_{n+1} for n = order ... 1, on the
     sector of n's parity.
 
     Yields (n, A_n). ``blocks`` holds L0 on the even and on the odd sector
-    for the given ``members`` of the batch that ``s`` covers, ``lm_blocks``
-    L(-1) into each sector. A_n reads s[n], so the continued fraction fills
-    s[n] before it asks for the next block.
+    for the members that ``s`` covers, ``lm_blocks`` L(-1) into each
+    sector. A_n reads s[n], so the continued fraction fills s[n] before it
+    asks for the next block.
     """
     eyes = [np.eye(b.shape[-1]) for b in blocks]
     order = len(s)
     for n in range(order, 0, -1):
         a = blocks[n % 2] - (1j * n * delta) * eyes[n % 2]
         if n < order:
-            a += lm_blocks[n % 2] @ s[n][members]
+            a += lm_blocks[n % 2] @ s[n]
         yield n, a
 
 
 def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
-                        delta: float, order: int):
+                        delta: float, order: int, dl0: np.ndarray | None):
     """Harmonics of a batch of generators by the matrix continued fraction.
 
     ``l0`` is a (batch, dim^2, dim^2) stack sharing ``lp`` and ``lm``. With
@@ -234,81 +229,33 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     checks both), and J is multiplicative, so T_n = J(S_n),
     L(+1) T_1 = J(L(-1) S_1) and rho_-n = P conj(rho_n) = rho_n^dagger.
 
-    The recursion runs on parity sectors (``_sectors``). When ad_U, for a
-    level parity U = diag(+-1), keeps L0 and flips L(+-1), then U with the
-    half-period shift t -> t + pi/delta is a symmetry of the generator, so
-    ad_U rho_n = (-1)^n rho_n: even harmonics live in the even sector E,
-    odd ones in the odd sector O, and the rest of each harmonic is exactly
-    0. A_n is then |E| x |E| or |O| x |O| by n's parity, S_n maps the
-    sector of n - 1 to that of n, and the zeroth-harmonic system is
-    |E| x |E| (E holds the populations, so the trace row too). In the
-    paper's model the couplings touch only |2>: U = diag(1, -1, 1, 1),
-    |E| = 10 and |O| = 6. Members without such a parity run the same
-    recursion with E = O = every entry, and members of different parities
-    are solved as separate groups, so a member's result does not depend on
-    the batch. The residual check of ``solve_batch`` reads the full
-    system, so it also verifies the reduction. The reduction never forms
-    the other parity (odd sector at even n, even sector at odd n), whose
-    system is homogeneous: where it is singular, the steady state is not
-    unique, and the parity-even one is returned without an error.
+    The recursion runs on the batch's parity sectors (``_sectors``). When
+    ad_U, for a level parity U = diag(+-1), keeps L0 and flips L(+-1), then
+    U with the half-period shift t -> t + pi/delta is a symmetry of the
+    generator, so ad_U rho_n = (-1)^n rho_n: even harmonics live in the
+    even sector E, odd ones in the odd sector O, and the rest of each
+    harmonic is exactly 0. A_n is then |E| x |E| or |O| x |O| by n's
+    parity, S_n maps the sector of n - 1 to that of n, and the
+    zeroth-harmonic system is |E| x |E| (E holds the populations, so the
+    trace row too). In the paper's model the couplings touch only |2>:
+    U = diag(1, -1, 1, 1), |E| = 10 and |O| = 6. A batch without such a
+    parity runs the same recursion with E = O = every entry. The residual
+    check of ``solve_batch`` reads the full system, so it also verifies
+    the reduction. The reduction never forms the other parity (odd sector
+    at even n, even sector at odd n), whose system is homogeneous: where it
+    is singular, the steady state is not unique, and the parity-even one is
+    returned without an error.
 
     Returns the vectorised harmonics, (batch, 2 order + 1, dim^2), n
-    ascending, and the tangent pass of this solve (``tangent`` below).
+    ascending, and the tangent pass of this solve when ``dl0`` is given
+    (``tangent`` below), else None.
     """
-    batch, dim2, _ = l0.shape
-    dim = math.isqrt(dim2)
-    x = np.empty((batch, 2 * order + 1, dim2), dtype=complex)
-    parts = []
-    for members, even, odd in _sectors(l0, lp, lm):
-        x[members], tangent_of = _sector_fraction(l0, members, lp, lm, delta,
-                                                  order, even, odd)
-        parts.append((members, tangent_of))
-
-    def tangent(members, dl0: np.ndarray) -> np.ndarray:
-        """dx/dp of the given members when their L0 moves by dL0/dp = dl0.
-
-        Differentiating the truncated system M(p) x = e at fixed order
-        gives M y = -(I (x) dl0) x, with the trace row of the right-hand
-        side zero: the trace constraint does not depend on p. The
-        elimination above carries over with an inhomogeneous term. With
-        r_n = -dl0 x_n and g_{N+1} = 0,
-
-            g_n = A_n^-1 (r_n - L(-1) g_{n+1}),     y_n = S_n y_{n-1} + g_n
-
-        and m0 y_0 = r_0 - L(+1) h_1 - L(-1) g_1 with trace(y_0) = 0, where
-        A_n, S_n and m0 are those formed above; J(dl0) = dl0 (else
-        ValueError) gives h_n = P conj(g_n) and y_-n = P conj(y_n). A dl0
-        that breaks a group's parity would move y into the other sector, so
-        that group is solved again with E = O = every entry for it. Returns
-        y, (len(members), 2 order + 1, dim, dim).
-        """
-        _require_mirror(dl0, dl0, "J(dL0) = dL0")
-        members = np.arange(batch)[members]
-        y = np.empty((members.size, 2 * order + 1, dim, dim), dtype=complex)
-        for group, tangent_of in parts:
-            rows = np.flatnonzero(np.isin(members, group))
-            if rows.size:
-                y[rows] = tangent_of(members[rows], x[members[rows]], dl0)
-        return y
-
-    return x, tangent
-
-
-def _sector_fraction(l0: np.ndarray, members: np.ndarray, lp: np.ndarray,
-                     lm: np.ndarray, delta: float, order: int, even: np.ndarray,
-                     odd: np.ndarray):
-    """``_continued_fraction`` of the given ``members`` of the batch ``l0``,
-    which share the sectors ``even`` and ``odd``.
-
-    Returns their harmonics, full-size with exact zeros outside each
-    harmonic's sector, and ``tangent(chosen, xs, dl0)``, the tangent pass of
-    the chosen batch members (a subset of ``members``) with harmonics xs.
-    """
-    dim2 = l0.shape[1]
+    dim2 = lp.shape[0]
     dim = math.isqrt(dim2)
     perm = _transposition(dim2)
-    sectors = (even, odd)
-    blocks = [l0[members[:, None, None], p[:, None], p] for p in sectors]
+    sectors = _sectors(l0, lp, lm, dl0)
+    even = sectors[0]
+    blocks = [l0[:, p[:, None], p] for p in sectors]
     # L(+-1) into the sector of n's parity from that of n -+ 1
     lp_blocks = [lp[sectors[p][:, None], sectors[1 - p]] for p in (0, 1)]
     lm_blocks = [lm[sectors[p][:, None], sectors[1 - p]] for p in (0, 1)]
@@ -336,19 +283,33 @@ def _sector_fraction(l0: np.ndarray, members: np.ndarray, lp: np.ndarray,
         y[:, order - 1::-1] = y[:, order + 1:, perm].conj()
         return y
 
-    def tangent(chosen: np.ndarray, xs: np.ndarray, dl0: np.ndarray) -> np.ndarray:
-        if even.size < dim2 and (np.any(dl0[even[:, None], odd])
-                                 or np.any(dl0[odd[:, None], even])):
-            every = np.arange(dim2)
-            x_every, tangent_every = _sector_fraction(l0, chosen, lp, lm, delta,
-                                                      order, every, every)
-            return tangent_every(chosen, x_every, dl0)
-        local = np.searchsorted(members, chosen)
-        dl0_blocks = [dl0[p[:, None], p] for p in sectors]
+    x = harmonics(_solve_stack(m0, e0), lambda n, prev: s[n - 1] @ prev)
+    if dl0 is None:
+        return x, None
+    dl0_blocks = [dl0[p[:, None], p] for p in sectors]
+
+    def tangent(members) -> np.ndarray:
+        """dx/dp of the given members when their L0 moves by dL0/dp = dl0.
+
+        Differentiating the truncated system M(p) x = e at fixed order
+        gives M y = -(I (x) dl0) x, with the trace row of the right-hand
+        side zero: the trace constraint does not depend on p. The
+        elimination above carries over with an inhomogeneous term. With
+        r_n = -dl0 x_n and g_{N+1} = 0,
+
+            g_n = A_n^-1 (r_n - L(-1) g_{n+1}),     y_n = S_n y_{n-1} + g_n
+
+        and m0 y_0 = r_0 - L(+1) h_1 - L(-1) g_1 with trace(y_0) = 0, where
+        A_n, S_n and m0 are those formed above; J(dl0) = dl0 gives
+        h_n = P conj(g_n) and y_-n = P conj(y_n). The sectors keep dl0, so
+        y lives in them too. Returns y, (len(members), 2 order + 1, dim, dim).
+        """
+        xs = x[members]
+        s_of = [t[members] for t in s]
         # g_n, from n = order down
         g: list = [None] * order
-        for n, a in _fraction_blocks([b[local] for b in blocks], lm_blocks,
-                                     delta, s, local):
+        for n, a in _fraction_blocks([b[members] for b in blocks], lm_blocks,
+                                     delta, s_of):
             r = -(dl0_blocks[n % 2] @ xs[:, order + n, sectors[n % 2], None])
             if n < order:
                 r -= lm_blocks[n % 2] @ g[n]
@@ -358,11 +319,11 @@ def _sector_fraction(l0: np.ndarray, members: np.ndarray, lp: np.ndarray,
         b0 = (-(dl0_blocks[0] @ xs[:, order, even, None]) - closing
               - closing[:, perm_even].conj())
         b0[:, 0] = 0.0
-        y = harmonics(_solve_stack(m0[local], b0),
-                      lambda n, prev: g[n - 1] + s[n - 1][local] @ prev)
-        return y.reshape(chosen.size, 2 * order + 1, dim, dim)
+        y = harmonics(_solve_stack(m0[members], b0),
+                      lambda n, prev: g[n - 1] + s_of[n - 1] @ prev)
+        return y.reshape(-1, 2 * order + 1, dim, dim)
 
-    return harmonics(_solve_stack(m0, e0), lambda n, prev: s[n - 1] @ prev), tangent
+    return x, tangent
 
 
 def _residual_errors(x: np.ndarray, l0, lp, lm, delta: float,
@@ -393,20 +354,22 @@ def _residual_errors(x: np.ndarray, l0, lp, lm, delta: float,
 
 
 def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
-                order: int) -> tuple[np.ndarray, dict[int, Exception], Callable]:
+                order: int, dl0: np.ndarray | None = None
+                ) -> tuple[np.ndarray, dict[int, Exception], Callable | None]:
     """Periodic steady states of a batch of generators at one truncation order.
 
     ``l0`` is a (batch, dim^2, dim^2) stack sharing the drive terms ``lp``
     and ``lm``. Returns the harmonics, (batch, 2 order + 1, dim, dim), the
-    failing members by index and the tangent pass. The errors are
-    DegenerateModelError when the constrained system is singular and
-    SolverError when the solution violates the trace/Hermiticity
-    invariants; a failing member does not affect the others.
-    ``tangent(members, dl0)`` returns d harmonics/dp of the given members,
-    (len(members), 2 order + 1, dim, dim), when their L0 moves by
-    dL0/dp = dl0: the exact derivative of the truncated system, from the
-    continued fraction this solve formed. ValueError when J(L0) = L0 or
-    J(L(+1)) = L(-1) fails beyond rounding (``_continued_fraction``).
+    failing members by index and the tangent pass, None without ``dl0``.
+    The errors are DegenerateModelError when the constrained system is
+    singular and SolverError when the solution violates the
+    trace/Hermiticity invariants; a failing member does not affect the
+    others. ``tangent(members)`` returns d harmonics/dp of the given
+    members, (len(members), 2 order + 1, dim, dim), when their L0 moves by
+    dL0/dp = ``dl0``: the exact derivative of the truncated system, from
+    the continued fraction this solve formed. ValueError when J(L0) = L0,
+    J(L(+1)) = L(-1) or J(dL0) = dL0 fails beyond rounding
+    (``_continued_fraction``).
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -414,6 +377,8 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
         raise ValueError("delta must be positive")
     _require_mirror(l0, l0, "J(L0) = L0")
     _require_mirror(lp, lm, "J(L(+1)) = L(-1)")
+    if dl0 is not None:
+        _require_mirror(dl0, dl0, "J(dL0) = dL0")
     batch, dim2, _ = l0.shape
     dim = math.isqrt(dim2)
     errors: dict[int, Exception] = {}
@@ -425,7 +390,7 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
                 "steady state not unique: more than one decoupled stationary "
                 "population (probe, pump and couplings all off)")
 
-    x, tangent = _continued_fraction(l0, lp, lm, delta, order)
+    x, tangent = _continued_fraction(l0, lp, lm, delta, order, dl0)
     for b, exc in _residual_errors(x, l0, lp, lm, delta, order).items():
         errors.setdefault(b, exc)
     harmonics = x.reshape(batch, 2 * order + 1, dim, dim)
@@ -476,9 +441,8 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
     given member indices. Each member starts at its seed in ``orders`` and
     raises its order n to max(n + 2, ceil(1.4 n)), at most ``cap``. Members
     at the same order are solved together in chunks of at most CHUNK_BYTES
-    of storage, counted with the parity sectors of the group's first member
-    (a member without them keeps about three times more); only those whose
-    tail fails climb, also when ``solve_batch`` flags them below ``cap``
+    of storage, counted for a parity split (a batch without one keeps about
+    three times more); only those whose tail fails climb, also when ``solve_batch`` flags them below ``cap``
     with finite harmonics.
     Returns rho_0, (1, batch, dim, dim), with ``dl0`` (dL0/dp of every
     member) stacked on d rho_0/dp, (2, batch, dim, dim), from one tangent
@@ -499,17 +463,16 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
         for n in np.unique(orders[pending]):
             n = int(n)
             group = pending[orders[pending] == n]
-            # per harmonic k > 0 (k < 0 is mirrored), with the sectors of the
-            # group's first member: S_k, rho_+-k, and g_k and y_+-k
-            _, even, odd = _sectors(l0_of(group[:1]), lp, lm)[0]
-            stored = even.size * odd.size + 2 * dim2
+            # per harmonic k > 0 (k < 0 is mirrored): S_k, at most
+            # dim^4 / 4 between two sectors, rho_+-k, and g_k and y_+-k
+            stored = dim2 ** 2 // 4 + 2 * dim2
             if dl0 is not None:
-                stored += max(even.size, odd.size) + 2 * dim2
+                stored += 3 * dim2
             chunk = max(1, CHUNK_BYTES // (n * stored * COMPLEX_BYTES))
             for start in range(0, group.size, chunk):
                 members = group[start:start + chunk]
                 harmonics, failed, tangent = solve_batch(l0_of(members), lp, lm,
-                                                         delta, n)
+                                                         delta, n, dl0)
                 ok = _tails_ok(harmonics)
                 finite = np.isfinite(harmonics).all(axis=(1, 2, 3))
                 for b, exc in failed.items():
@@ -519,7 +482,7 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
                 done = members[ok]
                 rho0[0, done] = harmonics[ok, n]
                 if dl0 is not None and done.size:
-                    rho0[1, done] = tangent(np.flatnonzero(ok), dl0)[:, n]
+                    rho0[1, done] = tangent(np.flatnonzero(ok))[:, n]
                 accepted[done] = n
                 # the tangent holds this chunk's S_n: free them
                 # before the next chunk forms its own

@@ -154,8 +154,8 @@ class SusceptibilitySpectrum:
         self.chi = np.asarray(self.chi, dtype=complex)
         if self.grid.ndim != 1 or self.grid.size == 0 or self.grid.size != self.chi.size:
             raise ValueError("grid and chi must be matching non-empty 1-d arrays")
-        if self.grid.size > 1 and np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
+        if not np.all(np.isfinite(self.grid)) or np.any(np.diff(self.grid) <= 0):
+            raise ValueError("grid must be finite and strictly increasing")
         if not np.all(np.isfinite(self.chi)):
             raise ValueError("chi contains non-finite values")
 

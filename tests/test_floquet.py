@@ -149,9 +149,9 @@ class TestContinuedFraction:
         assert rho0.shape == (2, 2, 4, 4)
         for b, order in enumerate(orders.tolist()):
             harmonics, _, tangent = solve_batch(stack[b:b + 1], paper.l_plus,
-                                                paper.l_minus, 0.2, order)
+                                                paper.l_minus, 0.2, order, per_d2)
             assert np.array_equal(rho0[0, b], harmonics[0, order])
-            assert np.array_equal(rho0[1, b], tangent([0], per_d2)[0, order])
+            assert np.array_equal(rho0[1, b], tangent([0])[0, order])
 
 
 class TestParitySectors:
@@ -167,8 +167,7 @@ class TestParitySectors:
                                          PumpModel.direct(rate, lindblad_form)).l0
                        for drive in (config.drive, shifted) for rate in (0.0, 0.3)])
         liouv = build_liouvillian(config.system, config.drive, config.pump)
-        [(members, even, odd)] = floquet._sectors(l0, liouv.l_plus, liouv.l_minus)
-        assert members.tolist() == [0, 1, 2, 3]
+        even, odd = floquet._sectors(l0, liouv.l_plus, liouv.l_minus, None)
         assert even.tolist() == PAPER_EVEN.tolist()
         assert odd.tolist() == sorted(set(range(16)) - set(PAPER_EVEN))
 
@@ -178,8 +177,7 @@ class TestParitySectors:
         no_drive = np.zeros_like(eit)
         for l0, lp, lm in ((eit, no_drive, no_drive),
                            (paper.l0, paper.l_plus, paper.l_minus)):
-            [(members, even, odd)] = floquet._sectors(l0[None], lp, lm)
-            assert members.tolist() == [0]
+            even, odd = floquet._sectors(l0[None], lp, lm, None)
             assert even.tolist() == odd.tolist() == list(range(l0.shape[0]))
 
     # TestContinuedFraction and TestTangent check the sector path against
@@ -211,24 +209,39 @@ class TestParitySectors:
         assert np.all(harmonics[parity == 1][:, [8, 12]] == 0.0)
         assert np.all(harmonics[[12, 16]][:, [8, 12]] != 0.0)
 
-    def test_mixed_batch_members_are_independent(self):
-        per_d2 = detuning_generators()[0]
+    def test_same_model_stack_members_are_bitwise_independent(self):
+        # one affine family, as every ladder batch is: one split for all
+        per_d2, per_shift = detuning_generators()[:2]
         paper = liouvillian(rate=0.4)
-        broken = without_parity(paper)
-        stack = np.stack([paper.l0, broken.l0, paper.l0, broken.l0 + 0.1 * per_d2,
-                          paper.l0 + 0.1 * per_d2])
+        stack = np.stack([paper.l0, paper.l0 + 0.1 * per_d2, paper.l0,
+                          paper.l0 - 60.0 * per_shift])
         stack[2] = np.nan        # one unusable member
         harmonics, errors, tangent = solve_batch(stack, paper.l_plus, paper.l_minus,
-                                                 0.2, 10)
+                                                 0.2, 10, per_d2)
         assert list(errors) == [2]
-        subset = tangent(np.array([4, 1, 0, 3]), per_d2)
-        for row, b in enumerate((4, 1, 0, 3)):
+        subset = tangent(np.array([3, 1, 0]))
+        for row, b in enumerate((3, 1, 0)):
             alone, _, alone_tangent = solve_batch(stack[b:b + 1], paper.l_plus,
-                                                  paper.l_minus, 0.2, 10)
+                                                  paper.l_minus, 0.2, 10, per_d2)
             assert np.array_equal(harmonics[b], alone[0])
-            assert np.array_equal(subset[row], alone_tangent([0], per_d2)[0])
+            assert np.array_equal(subset[row], alone_tangent([0])[0])
         alone, _, _ = solve_batch(stack[2:3], paper.l_plus, paper.l_minus, 0.2, 10)
         assert np.array_equal(harmonics[2], alone[0], equal_nan=True)
+
+    def test_mixed_model_stack_solves_every_entry_of_each_member(self):
+        # a member without the parity sets the split of the whole stack
+        per_d2 = detuning_generators()[0]
+        paper = liouvillian(rate=0.4)
+        models = [paper, without_parity(paper), liouvillian(),
+                  without_parity(replace(paper, l0=paper.l0 + 0.1 * per_d2))]
+        harmonics, errors, tangent = solve_batch(
+            np.stack([m.l0 for m in models]), paper.l_plus, paper.l_minus, 0.2, 10,
+            per_d2)
+        assert not errors
+        y = tangent(np.arange(len(models)))
+        for b, liouv in enumerate(models):
+            assert_harmonics_close(harmonics[b], dense_harmonics(liouv, 0.2, 10), 1e-12)
+            assert_harmonics_close(y[b], dense_tangent(liouv, 0.2, 10, per_d2), 1e-10)
 
 
 class TestMirrorPrecondition:
@@ -248,11 +261,11 @@ class TestMirrorPrecondition:
 
     def test_tangent_of_non_hermitian_derivative_rejected(self):
         paper = liouvillian()
-        _, errors, tangent = solve_batch(paper.l0[None], paper.l_plus,
-                                         paper.l_minus, 0.2, 10)
+        _, errors, _ = solve_batch(paper.l0[None], paper.l_plus, paper.l_minus, 0.2, 10)
         assert not errors
         with pytest.raises(ValueError, match=r"J\(dL0\) = dL0 is broken"):
-            tangent([0], detuning_generators()[0] + 1e-3j * np.eye(16))
+            solve_batch(paper.l0[None], paper.l_plus, paper.l_minus, 0.2, 10,
+                        detuning_generators()[0] + 1e-3j * np.eye(16))
 
     def test_negative_harmonics_are_exact_adjoints(self):
         fd = solve_floquet(liouvillian(rate=0.4), 0.2, 10)
@@ -267,9 +280,9 @@ class TestTangent:
     def assert_matches_dense_tangent(liouv, order):
         per_d2 = detuning_generators()[0]
         _, errors, tangent = solve_batch(liouv.l0[None], liouv.l_plus,
-                                         liouv.l_minus, 0.2, order)
+                                         liouv.l_minus, 0.2, order, per_d2)
         assert not errors
-        assert_harmonics_close(tangent([0], per_d2)[0],
+        assert_harmonics_close(tangent([0])[0],
                                dense_tangent(liouv, 0.2, order, per_d2), 1e-10)
 
     @pytest.mark.parametrize("rate", [0.0, 0.4])
@@ -282,12 +295,12 @@ class TestTangent:
         self.assert_matches_dense_tangent(liouv, 120)
 
     def test_derivative_that_breaks_the_parity(self):
-        # y then lives in the other sector: the solve is redone on every entry
+        # y would leave the sectors: the split keeps every entry
         liouv = liouvillian(rate=0.4)
         _, errors, tangent = solve_batch(liouv.l0[None], liouv.l_plus,
-                                         liouv.l_minus, 0.2, 10)
+                                         liouv.l_minus, 0.2, 10, static_23())
         assert not errors
-        y = tangent([0], static_23())[0]
+        y = tangent([0])[0]
         assert_harmonics_close(y, dense_tangent(liouv, 0.2, 10, static_23()), 1e-10)
         assert np.abs(y[10]).max() > 0.0
 
@@ -296,12 +309,12 @@ class TestTangent:
         per_d2 = detuning_generators()[0]
         paper = liouvillian()
         stack = np.stack([paper.l0, liouvillian(rate=0.4).l0, paper.l0 + 0.1 * per_d2])
-        _, _, tangent = solve_batch(stack, paper.l_plus, paper.l_minus, 0.2, 10)
-        subset = tangent(np.array([0, 2]), per_d2)
+        _, _, tangent = solve_batch(stack, paper.l_plus, paper.l_minus, 0.2, 10, per_d2)
+        subset = tangent(np.array([0, 2]))
         for row, b in enumerate((0, 2)):
             _, _, alone = solve_batch(stack[b:b + 1], paper.l_plus, paper.l_minus,
-                                      0.2, 10)
-            assert np.array_equal(subset[row], alone([0], per_d2)[0])
+                                      0.2, 10, per_d2)
+            assert np.array_equal(subset[row], alone([0])[0])
 
 
 class TestSolveFloquet:
@@ -397,9 +410,9 @@ def solved_orders(monkeypatch):
     orders = []
     solve = floquet.solve_batch
 
-    def recording(l0, lp, lm, delta, order):
+    def recording(l0, lp, lm, delta, order, *args):
         orders.append(order)
-        return solve(l0, lp, lm, delta, order)
+        return solve(l0, lp, lm, delta, order, *args)
 
     monkeypatch.setattr(floquet, "solve_batch", recording)
     return orders

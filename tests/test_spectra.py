@@ -222,10 +222,10 @@ class TestScan:
         grid = np.linspace(-0.4, 0.4, 17)
         solve = floquet.solve_batch
 
-        def spoiled(l0, lp, lm, delta, order):
+        def spoiled(l0, lp, lm, delta, order, *args):
             l0 = l0.copy()
             l0[l0[:, 4, 4].imag == grid[11]] = np.nan
-            return solve(l0, lp, lm, delta, order)
+            return solve(l0, lp, lm, delta, order, *args)
 
         evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
         monkeypatch.setattr(floquet, "solve_batch", spoiled)
@@ -241,8 +241,9 @@ class TestScan:
         evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
         grid = np.linspace(-1.0, 1.0, 2001)
         scan = scan_evaluator(evaluator, grid).chi
-        # members at order 10: S_n between the 10/6 sectors and rho_+-n
-        member = 10 * (60 + 32) * 16
+        # members at order 10: S_n (at most 64 numbers between two sectors)
+        # and rho_+-n
+        member = 10 * (64 + 32) * 16
         chunk = floquet.CHUNK_BYTES // member
         for i in (0, chunk - 1, chunk, 1000, 1337, 2000):
             assert evaluator(grid[i]) == scan[i]
@@ -256,7 +257,7 @@ class TestScan:
         chi, dchi = evaluator.tangent(grid)
         assert np.array_equal(chi, evaluator(grid))
         # members at order 10 with the tangent's g_n and y_+-n per harmonic
-        member = 10 * (60 + 32 + 10 + 32) * 16
+        member = 10 * (64 + 32 + 16 + 32) * 16
         chunk = floquet.CHUNK_BYTES // member
         for i in (0, chunk - 1, chunk, 1000, 1337, 2000):
             assert evaluator.tangent(grid[i]) == (chi[i], dchi[i])
@@ -267,16 +268,16 @@ class TestScan:
 
     def test_chunks_hold_no_more_members_than_sixteen_by_sixteen_did(self, monkeypatch):
         # 1 MiB of 16 x 16 S_n blocks (and the tangent's 16-vector) set the
-        # member counts before the parity sectors: the 10/6 sector count,
-        # four times smaller, must not raise them
+        # member counts before the parity sectors: the sector count, four
+        # times smaller, must not raise them
         evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
         grid = np.linspace(-1.0, 1.0, 2001)
         calls = []
         solve = floquet.solve_batch
 
-        def recording(l0, lp, lm, delta, order):
+        def recording(l0, lp, lm, delta, order, *args):
             calls.append((order, l0.shape[0]))
-            return solve(l0, lp, lm, delta, order)
+            return solve(l0, lp, lm, delta, order, *args)
 
         monkeypatch.setattr(floquet, "solve_batch", recording)
         for run, old_member in ((evaluator, 256), (evaluator.tangent, 256 + 16)):
@@ -285,6 +286,26 @@ class TestScan:
             assert all(count <= 2 ** 20 // (order * old_member * 16)
                        for order, count in calls)
             assert max(count for _, count in calls) > 1
+
+    def test_sectors_found_once_per_solve(self, monkeypatch):
+        # the ladder sizes its chunks from dim alone, not from the sectors
+        fig4 = preset("fig4")
+        counts = collections.Counter()
+
+        def counting(name):
+            original = getattr(floquet, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(floquet, name, counted)
+
+        counting("solve_batch")
+        counting("_sectors")
+        evaluator = make_chi_evaluator(fig4.system, fig4.drive, fig4.pump)
+        evaluator.tangent(np.linspace(-1.0, 1.0, 101))
+        assert counts["solve_batch"] > 1
+        assert counts["_sectors"] == counts["solve_batch"]
 
     def test_doppler_value_independent_of_batch(self):
         config = DopplerConfig(nodes=16)
@@ -296,9 +317,10 @@ class TestScan:
             assert evaluator(point) == value
 
     def test_grid_must_increase(self):
-        with pytest.raises(ValueError):
-            SusceptibilitySpectrum(grid=np.array([0.0, 0.0]),
-                                   chi=np.array([0j, 0j]))
+        # np.diff(grid) <= 0 is False next to a NaN: non-finite grids once passed
+        for grid in ([0.0, 0.0], [0.0, np.nan, 1.0], [0.0, np.inf]):
+            with pytest.raises(ValueError):
+                SusceptibilitySpectrum(grid=np.array(grid), chi=np.zeros(len(grid)))
 
 
 class TestDispersionSlope:
