@@ -35,7 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ramanlight.tables import read_table
+# the package of this checkout, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ramanlight.tables import read_table  # noqa: E402
 
 
 def _scales(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

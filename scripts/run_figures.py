@@ -15,15 +15,19 @@ Compare two output directories with scripts/compare_outputs.py.
 
 import argparse
 import sys
+from pathlib import Path
 
-from ramanlight.cli import run_scenario
-from ramanlight.config import PRESET_BUILDERS, preset
+# the package of this checkout, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ramanlight.cli import run_scenario  # noqa: E402
+from ramanlight.config import PRESETS, preset  # noqa: E402
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/figures")
-    parser.add_argument("--only", nargs="*", default=sorted(PRESET_BUILDERS))
+    parser.add_argument("--only", nargs="*", default=sorted(PRESETS))
     args = parser.parse_args(argv)
 
     for name in args.only:

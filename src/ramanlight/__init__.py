@@ -16,7 +16,7 @@ from .floquet import (ConvergenceError, FloquetDensity, SolverError, TimeTrace,
                       integrate_to_period_average, solve_converged_batch,
                       solve_floquet)
 from .spectra import (BranchCutError, DopplerConfig, GroupIndexResult,
-                      PhysicalScale, SusceptibilitySpectrum, ThreeLevelConfig,
+                      PhysicalScale, SusceptibilitySpectrum,
                       dispersion_slope, doppler_average, find_imag_peaks,
                       group_index, group_index_at, make_chi_evaluator,
                       make_eit_evaluator, physical_scale, pump_sweep,

@@ -24,9 +24,8 @@ from . import constants as const
 from . import pulses, spectra, svgplot, tables
 from .atom import PumpModel, validate_system
 from .config import PresetError, ScenarioConfig, load_config, preset
-from .spectra import (DopplerConfig, PhysicalScale, ThreeLevelConfig,
-                      find_imag_peaks, group_index, make_chi_evaluator,
-                      make_eit_evaluator, physical_scale, scan_evaluator,
+from .spectra import (find_imag_peaks, group_index, make_chi_evaluator,
+                      make_eit_evaluator, scan_evaluator,
                       transmission_window_fwhm)
 
 
@@ -38,12 +37,6 @@ class RunReport:
     files: list[str]
     headline: dict[str, float]
     wall_time: float
-
-
-def _scale_of(config: ScenarioConfig) -> PhysicalScale:
-    s = config.scale
-    return physical_scale(s.density, length=s.length, gamma3=s.gamma3,
-                          wavelength=s.wavelength)
 
 
 def _scan_grid(config: ScenarioConfig) -> np.ndarray:
@@ -64,22 +57,10 @@ def _pulse_band_grid(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(-half, half, config.grid.points)
 
 
-def _doppler_or_none(config: ScenarioConfig) -> DopplerConfig | None:
-    return config.doppler if config.doppler_enabled else None
-
-
 def _raman_evaluator(config: ScenarioConfig, pump: PumpModel):
     """The four-level medium's chi evaluator, Doppler-averaged when enabled."""
     return make_chi_evaluator(config.system, config.drive, pump,
-                              doppler=_doppler_or_none(config))
-
-
-def _eit_config(config: ScenarioConfig, omega_c: float) -> ThreeLevelConfig:
-    system = config.system
-    return ThreeLevelConfig(omega_c=omega_c, omega_p=config.drive.omega_p,
-                            gamma31=system.gamma31, gamma32=system.gamma32,
-                            gamma2_deph=system.gamma2_deph,
-                            gamma3_deph=system.gamma3_deph)
+                              doppler=config.doppler)
 
 
 def _write_svg(path: Path, series, **chart) -> Path:
@@ -102,7 +83,7 @@ def _pulse_case(config: ScenarioConfig, evaluator):
     the headline numbers. The group index that predicts the delay takes
     its slope from the evaluator's tangent.
     """
-    scale = _scale_of(config)
+    scale = config.scale
     pulse = pulses.synthesize_gaussian(config.pulse.sigma, config.pulse.window,
                                        config.pulse.samples)
     reference = pulses.vacuum_reference(pulse, scale)
@@ -128,7 +109,6 @@ def _run_spectrum_scenario(config: ScenarioConfig, out: Path,
     name = config.scenario
     evaluator = _raman_evaluator(config, config.pump)
     spectrum = scan_evaluator(evaluator, _scan_grid(config))
-    scale = _scale_of(config)
 
     files = [tables.write_spectrum_csv(out / f"{name}_spectrum.csv", spectrum)]
     peaks = find_imag_peaks(spectrum)
@@ -139,7 +119,7 @@ def _run_spectrum_scenario(config: ScenarioConfig, out: Path,
         "center_re_chi_scaled": chi0.real,
         "center_im_chi_scaled": chi0.imag,
         "center_slope_scaled": dchi0.real,
-        "group_index_center": group_index(chi0, dchi0.real, scale).n_g,
+        "group_index_center": group_index(chi0, dchi0.real, config.scale).n_g,
         "imag_peak_count": float(len(peaks)),
     }
     for i, p in enumerate(sorted(strongest)):
@@ -172,7 +152,7 @@ def _run_fig4(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
         if tag == "pump_off":
             window_spec = scan_evaluator(evaluator, np.linspace(-0.4, 0.4, 1201))
             headline["transmission_window_rad_per_s"] = \
-                transmission_window_fwhm(window_spec, _scale_of(config))
+                transmission_window_fwhm(window_spec, config.scale)
     files.append(tables.write_pulse_csv(out / "fig4_pulse_reference.csv", reference))
     curves.append(("reference", reference))
 
@@ -189,8 +169,8 @@ def _run_fig5(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
     headline = {}
     curves = []
     cases = [
-        ("eit_0p5", make_eit_evaluator(_eit_config(config, 0.5))),
-        ("eit_1p0", make_eit_evaluator(_eit_config(config, 1.0))),
+        ("eit_0p5", make_eit_evaluator(config.system, 0.5, config.drive.omega_p)),
+        ("eit_1p0", make_eit_evaluator(config.system, 1.0, config.drive.omega_p)),
     ]
     raman = {f"two_coupling_r{pump.rate():g}".replace(".", "p"): pump
              for pump in (PumpModel.direct(0.0), config.pump)}  # one per rate
@@ -251,16 +231,15 @@ def _run_sweep(config: ScenarioConfig, out: Path, svg: bool,
 
     ``stationary`` sets the stationary curve beside the Doppler-averaged one.
     """
-    scale = _scale_of(config)
     rates = np.linspace(0.0, 0.5, 15)
-    doppler = _doppler_or_none(config)
+    doppler = config.doppler
     if not stationary:
         curves = [("n_g", "", doppler)]
     else:
         curves = [("no Doppler", "_stationary", None)]
         if doppler is not None:
             curves.append((f"Doppler {doppler.temperature:g} K", "_doppler", doppler))
-    n_g = [spectra.pump_sweep(config.system, config.drive, rates, scale,
+    n_g = [spectra.pump_sweep(config.system, config.drive, rates, config.scale,
                               doppler=curve_doppler,
                               lindblad_form=config.pump.lindblad_form)[:, 1]
            for _, _, curve_doppler in curves]

@@ -7,18 +7,19 @@ unknown keys and keys set twice in one section are hard errors with the
 offending line number. A file is overlaid on a base config key by key:
 what it leaves out keeps the base's value. With the default base an empty
 file reproduces the slow-light pulse operating point (the defaults of every
-section).
+section), and every named preset is such a text over the defaults.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 from .atom import AtomicSystem, DriveConfig, PumpModel, require_finite
 from .pulses import require_pulse_grid
-from .spectra import (DopplerConfig, GAMMA3_RB87_D1, WAVELENGTH_RB87_D1,
-                      physical_scale)
+from .spectra import DopplerConfig, PhysicalScale, physical_scale
 
 
 class ConfigError(ValueError):
@@ -62,25 +63,14 @@ class GridSettings:
 
 
 @dataclass(frozen=True)
-class ScaleSettings:
-    density: float = 5e17         # atoms / m^3
-    length: float = 1e-3          # m
-    wavelength: float = WAVELENGTH_RB87_D1
-    gamma3: float = GAMMA3_RB87_D1
-
-    def __post_init__(self):
-        physical_scale(self.density, length=self.length, gamma3=self.gamma3,
-                       wavelength=self.wavelength)
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario as the runners take it; ``doppler`` is None when off."""
+
     system: AtomicSystem = field(default_factory=AtomicSystem)
     drive: DriveConfig = field(default_factory=DriveConfig)
     pump: PumpModel = field(default_factory=PumpModel)
-    scale: ScaleSettings = field(default_factory=ScaleSettings)
-    doppler: DopplerConfig = field(default_factory=DopplerConfig)
-    doppler_enabled: bool = False
+    scale: PhysicalScale = field(default_factory=lambda: physical_scale(5e17))
+    doppler: DopplerConfig | None = None
     pulse: PulseSettings = field(default_factory=PulseSettings)
     grid: GridSettings = field(default_factory=GridSettings)
     scenario: str | None = None
@@ -155,7 +145,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "gamma3_rad_per_s": ("gamma3", float),
     },
     "doppler": {
-        "enabled": ("enabled", _parse_bool),   # ScenarioConfig.doppler_enabled
+        "enabled": ("enabled", _parse_bool),   # false: ScenarioConfig.doppler None
         "temperature_k": ("temperature", float),
         "mass_kg": ("mass", float),
         "nodes": ("nodes", int),
@@ -194,7 +184,9 @@ def parse_config(text: str,
                  base: ScenarioConfig = ScenarioConfig()) -> ScenarioConfig:
     """Overlay the keys the configuration text sets onto ``base``.
 
-    The Doppler shift scale follows the resulting [scale] line data.
+    [scale] keys rebuild the scale with ``physical_scale`` (default branch
+    fraction) from the base's four anchors; the Doppler shift scale follows
+    it. [doppler] keys are checked even when averaging stays off.
     """
     values: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
     last_line: dict[str, int] = {}
@@ -235,21 +227,23 @@ def parse_config(text: str,
         values[section][target] = parsed
         last_line[section] = line_no
 
-    def overlay(name: str, **derived):
+    def overlay(name: str, build: Callable, **fields):
         try:
-            return replace(getattr(base, name), **values[name], **derived)
+            return build(**{**fields, **values[name]})
         except ValueError as exc:
             raise ConfigError(last_line.get(name, 0),
                               f"bad [{name}] values: {exc}") from exc
 
-    doppler_enabled = values["doppler"].pop("enabled", base.doppler_enabled)
-    groups = {name: overlay(name)
-              for name in ("system", "drive", "pump", "scale", "pulse", "grid")}
-    scale = groups["scale"]
-    doppler = overlay("doppler", gamma3=scale.gamma3,
-                      wavevector=2.0 * math.pi / scale.wavelength)
-    return replace(base, **groups, doppler=doppler,
-                   doppler_enabled=doppler_enabled)
+    enabled = values["doppler"].pop("enabled", base.doppler is not None)
+    groups = {name: overlay(name, partial(replace, getattr(base, name)))
+              for name in ("system", "drive", "pump", "pulse", "grid")}
+    s = base.scale
+    scale = s if not values["scale"] else overlay(
+        "scale", physical_scale, density=s.density, length=s.length,
+        wavelength=s.wavelength, gamma3=s.gamma3)
+    doppler = overlay("doppler", partial(replace, base.doppler or DopplerConfig()),
+                      gamma3=scale.gamma3, wavevector=2.0 * math.pi / scale.wavelength)
+    return replace(base, **groups, scale=scale, doppler=doppler if enabled else None)
 
 
 def load_config(path, base: ScenarioConfig = ScenarioConfig()) -> ScenarioConfig:
@@ -261,33 +255,20 @@ def load_config(path, base: ScenarioConfig = ScenarioConfig()) -> ScenarioConfig
 # ---------------------------------------------------------------------------
 # named presets (parameters quoted from the reference operating points)
 
-def _two_coupling(omega_c: float, delta: float, rate: float,
-                  **kwargs) -> ScenarioConfig:
-    system = AtomicSystem()
-    drive = DriveConfig(omega_c=omega_c, delta=delta,
-                        delta_c=system.omega43 / 2.0,
-                        delta_p=system.omega43 / 2.0)
-    return ScenarioConfig(system=system, drive=drive,
-                          pump=PumpModel.direct(rate), **kwargs)
-
-
-PRESET_BUILDERS = {
-    "fig2a": lambda: _two_coupling(20.0, 0.1, 0.0, scenario="fig2a"),
-    "fig2c": lambda: _two_coupling(30.0, 0.2, 0.0, scenario="fig2c"),
-    "fig3a": lambda: _two_coupling(30.0, 0.2, 0.06, scenario="fig3a"),
-    "fig3c": lambda: _two_coupling(30.0, 0.2, 0.4, scenario="fig3c"),
-    "fig4": lambda: _two_coupling(30.0, 0.2, 0.4, scenario="fig4"),
-    "fig5": lambda: _two_coupling(55.0, 0.2, 0.17, scenario="fig5"),
-    "fig6": lambda: _two_coupling(30.0, 0.2, 0.0, scenario="fig6",
-                                  doppler_enabled=True),
+PRESETS = {
+    "fig2a": "[drive]\nomega_c_gamma3 = 20\ndelta_gamma3 = 0.1",
+    "fig2c": "",
+    "fig3a": "[pump]\npump_rate_gamma3 = 0.06",
+    "fig3c": "[pump]\npump_rate_gamma3 = 0.4",
+    "fig4": "[pump]\npump_rate_gamma3 = 0.4",
+    "fig5": "[drive]\nomega_c_gamma3 = 55\n[pump]\npump_rate_gamma3 = 0.17",
+    "fig6": "[doppler]\nenabled = true",
 }
 
 
 def preset(name: str) -> ScenarioConfig:
-    try:
-        builder = PRESET_BUILDERS[name]
-    except KeyError:
-        raise PresetError(
-            f"unknown scenario {name!r}; available: "
-            + ", ".join(sorted(PRESET_BUILDERS))) from None
-    return builder()
+    """The named preset: its ``PRESETS`` text over the defaults."""
+    if name not in PRESETS:
+        raise PresetError(f"unknown scenario {name!r}; available: "
+                          + ", ".join(sorted(PRESETS)))
+    return parse_config(PRESETS[name], ScenarioConfig(scenario=name))

@@ -129,8 +129,8 @@ class DopplerConfig:
 
     def __post_init__(self):
         require_finite(self)
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if min(self.temperature, self.mass, self.wavevector, self.gamma3) <= 0:
+            raise ValueError("temperature, mass, wavevector and gamma3 must be positive")
         if not 8 <= self.nodes <= HERMITE_MAX_NODES:
             raise ValueError(
                 f"need between 8 and {HERMITE_MAX_NODES} quadrature nodes")
@@ -168,26 +168,6 @@ class GroupIndexResult:
     dre_chi_domega: float    # d Re(chi) / d omega, 1/(rad/s)
     n_g: float               # group index c / v_g
     v_g: float               # m/s (signed)
-
-
-@dataclass(frozen=True)
-class ThreeLevelConfig:
-    """Reference Lambda system: one resonant coupling, no excited doublet."""
-
-    omega_c: float
-    omega_p: float = 0.01
-    delta_c: float = 0.0
-    gamma31: float = 0.5
-    gamma32: float = 0.5
-    gamma2_deph: float = 0.01
-    gamma3_deph: float = 0.0
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.omega_c < 0 or self.omega_p <= 0:
-            raise ValueError("omega_c must be >= 0 and omega_p positive")
-        if min(self.gamma31, self.gamma32, self.gamma2_deph, self.gamma3_deph) < 0:
-            raise ValueError("decay and dephasing rates must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -419,25 +399,29 @@ def pump_sweep(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
 # ---------------------------------------------------------------------------
 # three-level EIT reference
 
-def _eit_liouvillian(config: ThreeLevelConfig) -> np.ndarray:
-    """Generator of the Lambda system at probe detuning 0."""
+def _eit_liouvillian(system: AtomicSystem, omega_c: float,
+                     omega_p: float) -> np.ndarray:
+    """Generator of the Lambda system |1>, |2>, |3> of ``system`` with a
+    resonant coupling, at probe detuning 0."""
     h = np.zeros((3, 3), dtype=complex)
-    h[1, 1] = -2.0 * config.delta_c
-    h[0, 2] = h[2, 0] = config.omega_p
-    h[1, 2] = h[2, 1] = config.omega_c
+    h[0, 2] = h[2, 0] = omega_p
+    h[1, 2] = h[2, 1] = omega_c
     h *= -0.5
     l0 = hamiltonian_superop(h)
-    l0 += dissipator_superop(ketbra(0, 2, 3), config.gamma31)
-    l0 += dissipator_superop(ketbra(1, 2, 3), config.gamma32)
-    l0 += dissipator_superop(ketbra(1, 1, 3), config.gamma2_deph)
-    l0 += dissipator_superop(ketbra(2, 2, 3), config.gamma3_deph)
+    l0 += dissipator_superop(ketbra(0, 2, 3), system.gamma31)
+    l0 += dissipator_superop(ketbra(1, 2, 3), system.gamma32)
+    l0 += dissipator_superop(ketbra(1, 1, 3), system.gamma2_deph)
+    l0 += dissipator_superop(ketbra(2, 2, 3), system.gamma3_deph)
     return l0
 
 
-def make_eit_evaluator(config: ThreeLevelConfig) -> Callable:
+def make_eit_evaluator(system: AtomicSystem, omega_c: float,
+                       omega_p: float) -> Callable:
     """chi_s as a function of probe detuning (= two-photon detuning here).
 
-    Takes a scalar or an array, and has a ``tangent``, like
+    The reference Lambda system keeps the rates of ``system``'s |1>, |2>,
+    |3> and drops |4>; one resonant coupling ``omega_c`` replaces the
+    beating pair. Takes a scalar or an array, and has a ``tangent``, like
     ``make_chi_evaluator``'s evaluators, from the same ladder. The
     generator is affine in the probe detuning (only the level shifts
     -delta_p of |2> and |3> move), so it is assembled once. Without drive
@@ -445,7 +429,11 @@ def make_eit_evaluator(config: ThreeLevelConfig) -> Callable:
     order 1 (any positive frequency) solves L0 rho = 0 with trace(rho) = 1;
     chi reads rho31 of the zeroth harmonics it returns.
     """
-    l0 = _eit_liouvillian(config)
+    if not (math.isfinite(omega_c) and math.isfinite(omega_p)):
+        raise ValueError("EIT omega_c and omega_p must be finite")
+    if omega_c < 0 or omega_p <= 0:
+        raise ValueError("omega_c must be >= 0 and omega_p positive")
+    l0 = _eit_liouvillian(system, omega_c, omega_p)
     per_delta_p = hamiltonian_superop(np.diag([0.0, -1.0, -1.0]).astype(complex))
     no_drive = np.zeros_like(l0)
 
@@ -453,7 +441,7 @@ def make_eit_evaluator(config: ThreeLevelConfig) -> Callable:
         rho0, _, errors = solve_converged_batch(
             lambda m: l0 + flat[m, None, None] * per_delta_p, no_drive, no_drive,
             1.0, np.ones(flat.size, dtype=int), 1, per_delta_p if with_tangent else None)
-        return rho0[..., 2, 0] / config.omega_p, errors
+        return rho0[..., 2, 0] / omega_p, errors
 
     return _evaluator(values_of)
 

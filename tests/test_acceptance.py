@@ -20,8 +20,7 @@ from ramanlight.floquet import (choose_truncation, extract_dc_coherences,
 from ramanlight.spectra import (DopplerConfig, dispersion_slope, group_index,
                                 group_index_at, make_chi_evaluator,
                                 make_eit_evaluator, physical_scale, pump_sweep,
-                                scan_evaluator, transmission_window_fwhm,
-                                ThreeLevelConfig)
+                                scan_evaluator, transmission_window_fwhm)
 from ramanlight.pulses import (metrics, propagate, synthesize_gaussian,
                                vacuum_reference)
 from ramanlight import tables
@@ -215,7 +214,7 @@ def test_criterion_6_eit_comparison():
     checks = []
     ng = {}
     for label, omega_c, target in (("eit 0.5", 0.5, 5.9e5), ("eit 1.0", 1.0, 1.6e5)):
-        evaluator = make_eit_evaluator(ThreeLevelConfig(omega_c=omega_c))
+        evaluator = make_eit_evaluator(SYSTEM, omega_c, 0.01)
         value = group_index(evaluator(0.0),
                             dispersion_slope(evaluator, 0.0, 1e-3), SCALE).n_g
         ng[label] = value

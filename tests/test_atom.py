@@ -12,8 +12,8 @@ from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              build_liouvillian, detuning_generators, ketbra,
                              pump_generator, pump_rate_from_field,
                              validate_system)
-from ramanlight.config import PRESET_BUILDERS, preset
-from ramanlight.spectra import DopplerConfig, ThreeLevelConfig, physical_scale
+from ramanlight.config import PRESETS, preset
+from ramanlight.spectra import DopplerConfig, make_eit_evaluator, physical_scale
 
 
 def unvec(v):
@@ -146,7 +146,7 @@ class TestLiouvillian:
         per_d2, per_shift = detuning_generators()
         assert np.array_equal(mirror(per_d2), per_d2)
         assert np.array_equal(mirror(per_shift), per_shift)
-        for name in PRESET_BUILDERS:
+        for name in PRESETS:
             config = preset(name)
             for pump in (config.pump, PumpModel.direct(0.3),
                          PumpModel.direct(0.3, lindblad_form=True),
@@ -174,7 +174,7 @@ class TestLiouvillian:
         assert out_paper[0, 1] == pytest.approx(-gamma2 / 2 * 1.0)
         assert out_lind[0, 1] == pytest.approx(-(gamma2 + rate) / 2)
 
-    @pytest.mark.parametrize("name", sorted(PRESET_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_pump_enters_through_its_generator(self, name):
         # L0(R) = L0(0) + R dL0/dR bit for bit, for the preset's pump and
         # the direct, Lindblad-form and field pumps; the batched pump rate
@@ -277,10 +277,10 @@ class TestValidation:
         lambda v: PumpModel.from_field(v),
         lambda v: DopplerConfig(temperature=v),
         lambda v: physical_scale(v),
-        lambda v: ThreeLevelConfig(omega_c=0.5, gamma31=v),
+        lambda v: make_eit_evaluator(AtomicSystem(), v, 0.01),
     ], ids=["system-omega43", "system-gamma31", "drive-delta", "drive-delta_p",
             "drive-omega_c", "pump-direct", "pump-field", "doppler-temperature",
-            "physical_scale", "three-level-gamma31"])
+            "physical_scale", "eit-omega_c"])
     def test_non_finite_input_rejected(self, build, value):
         with pytest.raises(ValueError, match="finite"):
             build(value)

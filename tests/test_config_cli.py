@@ -10,7 +10,7 @@ import pytest
 
 from ramanlight.config import (ConfigError, PresetError, ScenarioConfig,
                                UnitMismatchError, parse_config, preset,
-                               PRESET_BUILDERS)
+                               PRESETS)
 from ramanlight.cli import main, run_scenario
 from ramanlight import cli, tables
 from ramanlight.atom import PumpModel
@@ -65,6 +65,8 @@ class TestParseConfig:
         ("[pulse]\nsigma_s = 1e-6\nwindow_s = 10e-6\n[grid]\npoints = 5\n", 3,
          "window"),
         ("[doppler]\nnodes = 4\n", 2, "nodes"),
+        ("[doppler]\nenabled = true\nmass_kg = 0\n", 3, "mass"),
+        ("[doppler]\nenabled = true\nmass_kg = -1e-25\n", 3, "mass"),
         ("[drive]\nomega_c_gamma3 = 10\nomega_c_gamma3 = 20\n", 3, "twice"),
         ("[drive]\ndelta_p_gamma3 = 95\n", 2, "unknown key 'delta_p_gamma3'"),
         ("[drive]\nomega_c_gamma3 = 0\ndelta_gamma3 = 0\n", 3, "delta must be positive"),
@@ -133,7 +135,7 @@ class TestParseConfig:
         nodes = 32
         """
         config = parse_config(text)
-        assert config.doppler_enabled
+        assert config.doppler is not None
         assert config.doppler.temperature == 320.0
         assert config.doppler.nodes == 32
 
@@ -151,6 +153,10 @@ class TestParseConfig:
         assert config.grid.half_width is None
         assert parse_config("", preset("fig6")) == preset("fig6")
 
+    def test_scale_keys_rebuild_the_dipole(self):
+        config = parse_config("[scale]\nwavelength_m = 7.8e-7\n", preset("fig4"))
+        assert config.scale == physical_scale(5e17, wavelength=7.8e-7)
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[drive]\nomega_c_gamma3 = fast\n")
@@ -166,7 +172,7 @@ class TestParseConfig:
 
 class TestPresets:
     def test_all_presets_build(self):
-        for name in PRESET_BUILDERS:
+        for name in PRESETS:
             config = preset(name)
             assert config.scenario == name
 
@@ -186,7 +192,7 @@ class TestPresets:
 
     def test_fig6_doppler_on(self):
         config = preset("fig6")
-        assert config.doppler_enabled
+        assert config.doppler is not None
         assert config.doppler.temperature == 320.0
 
     def test_unknown_preset_lists_available(self):
@@ -275,6 +281,16 @@ class TestCli:
         assert done.returncode == 0
         assert "scenario" in done.stdout
         assert "RuntimeWarning" not in done.stderr
+
+    @pytest.mark.parametrize("script", ["run_figures.py", "compare_outputs.py"])
+    def test_script_runs_from_checkout(self, script, tmp_path):
+        # -I: no PYTHONPATH, no user site, not the script's directory
+        path = Path(__file__).resolve().parent.parent / "scripts" / script
+        done = subprocess.run([sys.executable, "-I", str(path), "--help"],
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "usage" in done.stdout
 
     def test_sweep_command(self, tmp_path):
         config_path = tmp_path / "sweep.cfg"

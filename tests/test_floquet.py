@@ -12,8 +12,8 @@ from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              detuning_generators, dissipator_superop,
                              hamiltonian_superop, ketbra)
 from ramanlight import floquet
-from ramanlight.config import PRESET_BUILDERS, preset
-from ramanlight.spectra import ThreeLevelConfig, _eit_liouvillian
+from ramanlight.config import PRESETS, preset
+from ramanlight.spectra import _eit_liouvillian
 from ramanlight.floquet import (MAX_ORDER, ConvergenceError, choose_truncation,
                                 extract_dc_coherences, harmonic_tail_ok,
                                 integrate_to_period_average, solve_batch,
@@ -159,7 +159,7 @@ class TestParitySectors:
     paper's generator: even harmonics live on 10 entries, odd ones on 6."""
 
     @pytest.mark.parametrize("lindblad_form", [False, True])
-    @pytest.mark.parametrize("name", sorted(PRESET_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_preset_drive_splits_ten_six(self, name, lindblad_form):
         config = preset(name)
         shifted = config.drive.at_two_photon_detuning(0.07).doppler_shifted(-3.0)
@@ -172,7 +172,7 @@ class TestParitySectors:
         assert odd.tolist() == sorted(set(range(16)) - set(PAPER_EVEN))
 
     def test_generators_without_parity_keep_every_entry(self):
-        eit = _eit_liouvillian(ThreeLevelConfig(omega_c=0.5))
+        eit = _eit_liouvillian(AtomicSystem(), 0.5, 0.01)
         paper = without_parity(liouvillian(rate=0.4))
         no_drive = np.zeros_like(eit)
         for l0, lp, lm in ((eit, no_drive, no_drive),

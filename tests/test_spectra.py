@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from ramanlight import floquet, spectra
-from ramanlight.cli import _eit_config, _pulse_band_grid, _raman_evaluator
+from ramanlight.cli import _pulse_band_grid, _raman_evaluator
 from ramanlight.config import ScenarioConfig, preset
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian, detuning_generators,
                              hamiltonian_superop)
 from ramanlight.floquet import extract_dc_coherences, solve_floquet
 from ramanlight.spectra import (BranchCutError, DopplerConfig, ScanError,
-                                SusceptibilitySpectrum, ThreeLevelConfig,
+                                SusceptibilitySpectrum,
                                 _eit_liouvillian, dispersion_slope,
                                 doppler_average, find_imag_peaks, group_index,
                                 group_index_at, make_chi_evaluator,
@@ -358,7 +358,8 @@ def _preset_centre_cases():
     fig5 = preset("fig5")
     for omega_c in (0.5, 1.0):
         cases.append((f"fig5 eit {omega_c:g}",
-                      make_eit_evaluator(_eit_config(fig5, omega_c)), 1e-3))
+                      make_eit_evaluator(fig5.system, omega_c, fig5.drive.omega_p),
+                      1e-3))
     sweep = ScenarioConfig(scenario="sweep")
     for rate in np.linspace(0.0, 0.5, 15):
         cases.append((f"sweep r{rate:.4f}", make_chi_evaluator(
@@ -384,7 +385,7 @@ class TestTangentSlope:
             dispersion_slope(evaluator, 0.0, fig6.drive.delta / 200.0), rel=1e-7)
 
     def test_eit_tangent_matches_central_difference(self):
-        evaluator = make_eit_evaluator(ThreeLevelConfig(omega_c=0.5))
+        evaluator = make_eit_evaluator(AtomicSystem(), 0.5, 0.01)
         h = 1e-5
         for dp in (0.0, 0.03, -0.2):
             chi, dchi = evaluator.tangent(dp)
@@ -483,47 +484,44 @@ class TestDoppler:
 
 class TestEit:
     def test_dark_state_transparency(self):
-        config = ThreeLevelConfig(omega_c=0.5, gamma2_deph=0.0)
-        chi = make_eit_evaluator(config)(0.0)
+        chi = make_eit_evaluator(AtomicSystem(gamma2_deph=0.0), 0.5, 0.01)(0.0)
         assert abs(chi.imag) < 1e-10
 
     def test_residual_absorption_with_dephasing(self):
-        config = ThreeLevelConfig(omega_c=0.5)
-        chi = make_eit_evaluator(config)(0.0)
+        chi = make_eit_evaluator(AtomicSystem(), 0.5, 0.01)(0.0)
         assert chi.imag > 0.0
 
     def test_positive_dispersion_at_resonance(self):
-        evaluator = make_eit_evaluator(ThreeLevelConfig(omega_c=0.5))
+        evaluator = make_eit_evaluator(AtomicSystem(), 0.5, 0.01)
         assert dispersion_slope(evaluator, 0.0, 1e-3) > 0
 
     def test_weak_probe_closed_form(self):
         # rho31/omega_p = (i/2)/(g31 - i dp + (oc/2)^2/(g21 - i dp))
-        config = ThreeLevelConfig(omega_c=0.8)
-        g31 = 0.5 * (config.gamma31 + config.gamma32)
-        g21 = 0.5 * config.gamma2_deph
+        system, omega_c = AtomicSystem(), 0.8
+        g31 = 0.5 * (system.gamma31 + system.gamma32)
+        g21 = 0.5 * system.gamma2_deph
         for dp in (0.0, 0.02, -0.07, 0.3):
             expected = (0.5j / (g31 - 1j * dp
-                                + (config.omega_c / 2) ** 2 / (g21 - 1j * dp)))
-            measured = make_eit_evaluator(config)(dp)
+                                + (omega_c / 2) ** 2 / (g21 - 1j * dp)))
+            measured = make_eit_evaluator(system, omega_c, 0.01)(dp)
             assert measured == pytest.approx(expected, rel=2e-3)
 
     def test_matches_dense_static_solve(self):
         # the order-0 balance system is L0 rho = 0 with trace(rho) = 1; the
         # derivative solves it with right-hand side -dL0 rho, trace row zero
-        config = ThreeLevelConfig(omega_c=0.5)
+        omega_p = 0.01
         per_delta_p = hamiltonian_superop(np.diag([0.0, -1.0, -1.0]).astype(complex))
-        evaluator = make_eit_evaluator(config)
+        evaluator = make_eit_evaluator(AtomicSystem(), 0.5, omega_p)
         points = np.array([0.0, 0.03, -0.2, 1.5])
         chi, dchi = evaluator.tangent(points)
         for i, dp in enumerate(points):
-            a = _eit_liouvillian(config) + dp * per_delta_p
+            a = _eit_liouvillian(AtomicSystem(), 0.5, omega_p) + dp * per_delta_p
             a[0] = 0.0
             a[0, [0, 4, 8]] = 1.0      # trace(rho) = 1 replaces the rho11 row
             rho = np.linalg.solve(a, np.eye(9)[0])
             rhs = -(per_delta_p @ rho)
             rhs[0] = 0.0
-            expected = (rho[6] / config.omega_p,
-                        np.linalg.solve(a, rhs)[6] / config.omega_p)
+            expected = (rho[6] / omega_p, np.linalg.solve(a, rhs)[6] / omega_p)
             assert abs(chi[i] - expected[0]) <= 1e-12 * abs(expected[0])
             assert abs(dchi[i] - expected[1]) <= 1e-12 * abs(expected[1])
             scalar = evaluator.tangent(dp)
@@ -534,7 +532,7 @@ class TestEit:
                                       "gamma3_deph"])
     def test_negative_rate_rejected(self, rate):
         with pytest.raises(ValueError):
-            ThreeLevelConfig(omega_c=0.5, **{rate: -0.5})
+            make_eit_evaluator(AtomicSystem(**{rate: -0.5}), 0.5, 0.01)
 
 
 class TestSpectrumMetrics:
