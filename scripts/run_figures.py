@@ -6,9 +6,9 @@ Usage:
 
 Every scenario writes its SVG charts beside its CSV tables.
 
-fig6 velocity-averages a full pump sweep and takes about 7 s
-(7.1-7.4 s on a 2-core host), fig4 about 1.1 s and every other preset
-0.3-0.5 s.
+fig6 velocity-averages a full pump sweep and takes about 2.3 s on a
+2-core host, fig4 about 0.5 s and every other preset 0.2-0.3 s, each
+with its interpreter start.
 
 Compare two output directories with scripts/compare_outputs.py.
 """

@@ -237,6 +237,10 @@ def parse_config(text: str,
     enabled = values["doppler"].pop("enabled", base.doppler is not None)
     groups = {name: overlay(name, partial(replace, getattr(base, name)))
               for name in ("system", "drive", "pump", "pulse", "grid")}
+    if groups["drive"].omega_p == 0:
+        # DriveConfig allows it: the oracle and atom tests build such drives
+        raise ConfigError(last_line.get("drive", 0), "bad [drive] values: omega_p must "
+                          "be positive: chi is defined relative to the probe")
     s = base.scale
     scale = s if not values["scale"] else overlay(
         "scale", physical_scale, density=s.density, length=s.length,

@@ -33,14 +33,14 @@ import numpy as np
 from .atom import DegenerateModelError, LiouvillianHarmonics
 
 MAX_ORDER = 25
-# storage of one solve chunk (``solve_converged_batch`` counts it): a member
-# at order n keeps, per harmonic 0 < k <= n, S_k (at most dim^4 / 4 numbers
-# between two sectors: 64, 60 for the paper's 10/6 split) and rho_+-k (32);
-# with the tangent also g_k (at most 16) and y_+-k (32). At every ladder
-# order 384 KiB holds as many paper members as 1 MiB of 16 x 16 S_k blocks
-# did, fewer with the tangent. The residual check's temporaries come on
-# top: tracemalloc puts the live peak of a chunk at 2 to 2.5 times this count
-CHUNK_BYTES = 384 * 2 ** 10
+# live storage of one solve chunk, as ``_member_bytes`` counts it: per
+# harmonic S_k and rho_+-k (with the tangent g_k and y_+-k), per member L0,
+# its sector blocks and the zeroth-harmonic matrix. tracemalloc puts the
+# peak of a chunk, the residual and invariant checks' temporaries included,
+# at 1.0 to 1.2 times this count. 1152 KiB is the smallest multiple of
+# 128 KiB at which a fig6 Doppler point at R = 0 makes under 40
+# ``solve_batch`` calls (37); more fills chunks further but raises peak RSS
+CHUNK_BYTES = 1152 * 2 ** 10
 COMPLEX_BYTES = 16
 
 
@@ -212,7 +212,8 @@ def _fraction_blocks(blocks, lm_blocks, delta: float, s: list):
 
 
 def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
-                        delta: float, order: int, dl0: np.ndarray | None):
+                        delta: float, order: int, dl0: np.ndarray | None,
+                        sectors: tuple[np.ndarray, np.ndarray]):
     """Harmonics of a batch of generators by the matrix continued fraction.
 
     ``l0`` is a (batch, dim^2, dim^2) stack sharing ``lp`` and ``lm``. With
@@ -229,7 +230,7 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     checks both), and J is multiplicative, so T_n = J(S_n),
     L(+1) T_1 = J(L(-1) S_1) and rho_-n = P conj(rho_n) = rho_n^dagger.
 
-    The recursion runs on the batch's parity sectors (``_sectors``). When
+    The recursion runs on the batch's parity ``sectors`` (``_sectors``). When
     ad_U, for a level parity U = diag(+-1), keeps L0 and flips L(+-1), then
     U with the half-period shift t -> t + pi/delta is a symmetry of the
     generator, so ad_U rho_n = (-1)^n rho_n: even harmonics live in the
@@ -240,11 +241,11 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     trace row too). In the paper's model the couplings touch only |2>:
     U = diag(1, -1, 1, 1), |E| = 10 and |O| = 6. A batch without such a
     parity runs the same recursion with E = O = every entry. The residual
-    check of ``solve_batch`` reads the full system, so it also verifies
-    the reduction. The reduction never forms the other parity (odd sector
-    at even n, even sector at odd n), whose system is homogeneous: where it
-    is singular, the steady state is not unique, and the parity-even one is
-    returned without an error.
+    check of ``solve_batch`` verifies the full system (``_residual_errors``),
+    so it also verifies the reduction. The reduction never forms the other
+    parity (odd sector at even n, even sector at odd n), whose system is
+    homogeneous: where it is singular, the steady state is not unique, and
+    the parity-even one is returned without an error.
 
     Returns the vectorised harmonics, (batch, 2 order + 1, dim^2), n
     ascending, and the tangent pass of this solve when ``dl0`` is given
@@ -253,7 +254,6 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     dim2 = lp.shape[0]
     dim = math.isqrt(dim2)
     perm = _transposition(dim2)
-    sectors = _sectors(l0, lp, lm, dl0)
     even = sectors[0]
     blocks = [l0[:, p[:, None], p] for p in sectors]
     # L(+-1) into the sector of n's parity from that of n -+ 1
@@ -280,7 +280,8 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
         for n in range(1, order + 1):
             y0 = terms(n, y0)
             y[:, order + n, sectors[n % 2]] = y0[..., 0]
-        y[:, order - 1::-1] = y[:, order + 1:, perm].conj()
+        mirror = y[:, order + 1:, perm]
+        y[:, order - 1::-1] = np.conjugate(mirror, out=mirror)
         return y
 
     x = harmonics(_solve_stack(m0, e0), lambda n, prev: s[n - 1] @ prev)
@@ -304,12 +305,14 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
         h_n = P conj(g_n) and y_-n = P conj(y_n). The sectors keep dl0, so
         y lives in them too. Returns y, (len(members), 2 order + 1, dim, dim).
         """
-        xs = x[members]
-        s_of = [t[members] for t in s]
+        if np.array_equal(members, np.arange(x.shape[0])):
+            xs, s_of, blocks_of, m0_of = x, s, blocks, m0
+        else:
+            xs, s_of = x[members], [t[members] for t in s]
+            blocks_of, m0_of = [b[members] for b in blocks], m0[members]
         # g_n, from n = order down
         g: list = [None] * order
-        for n, a in _fraction_blocks([b[members] for b in blocks], lm_blocks,
-                                     delta, s_of):
+        for n, a in _fraction_blocks(blocks_of, lm_blocks, delta, s_of):
             r = -(dl0_blocks[n % 2] @ xs[:, order + n, sectors[n % 2], None])
             if n < order:
                 r -= lm_blocks[n % 2] @ g[n]
@@ -319,7 +322,7 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
         b0 = (-(dl0_blocks[0] @ xs[:, order, even, None]) - closing
               - closing[:, perm_even].conj())
         b0[:, 0] = 0.0
-        y = harmonics(_solve_stack(m0[members], b0),
+        y = harmonics(_solve_stack(m0_of, b0),
                       lambda n, prev: g[n - 1] + s_of[n - 1] @ prev)
         return y.reshape(-1, 2 * order + 1, dim, dim)
 
@@ -327,26 +330,44 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
 
 
 def _residual_errors(x: np.ndarray, l0, lp, lm, delta: float,
-                     order: int) -> dict[int, DegenerateModelError]:
-    """Members whose harmonics do not solve the full balance system."""
-    dim2 = lp.shape[0]
-    dim = math.isqrt(dim2)
-    n_range = np.arange(-order, order + 1)
-    # one 16 x 16 matrix-vector product per harmonic: a matrix product over
-    # all harmonics of a high-order member makes OpenBLAS start threads,
-    # which cost ten times the product itself after the solves
-    res = (l0[:, None] @ x[..., None])[..., 0] - (1j * delta) * n_range[:, None] * x
-    res[:, 1:] += (lp @ x[:, :-1, :, None])[..., 0]
-    res[:, :-1] += (lm @ x[:, 1:, :, None])[..., 0]
-    res[:, order, 0] = x[:, order, ::dim + 1].sum(axis=1) - 1.0
+                     sectors) -> dict[int, DegenerateModelError]:
+    """Members whose harmonics ``x`` (``_continued_fraction`` on
+    ``sectors``) do not solve the full balance system.
+
+    It reads the rows of the n >= 0 harmonics on n's own sector: L0's
+    block there and L(+-1) from the other sector. The full system's other
+    rows are exact zeros, since x_n is 0 off its sector and L0 and L(+-1)
+    are 0 off the blocks ``_sectors`` chose them by, or, for n < 0,
+    J-mirrors of the rows read (``solve_batch`` checks J(L0) = L0 and
+    J(L(+1)) = L(-1) to 1e-13). ``_sectors`` ignores non-finite L0
+    entries, so a member with any fails here.
+    """
+    order = (x.shape[1] - 1) // 2
+    dim = math.isqrt(x.shape[2])
+    worst = np.zeros(x.shape[0])
+    for p in (0, 1):
+        n = np.arange(p, order + 1, 2)
+        inner = n[n < order]
+        own, other = sectors[p], sectors[1 - p]
+        xn = x[:, order + n[:, None], own]
+        # one matrix-vector product per harmonic: a matrix product over
+        # all harmonics of a high-order member makes OpenBLAS start threads,
+        # which cost ten times the product itself after the solves
+        res = ((l0[:, None, own[:, None], own] @ xn[..., None])[..., 0]
+               - (1j * delta) * n[:, None] * xn)
+        res += (lp[own[:, None], other] @ x[:, order + n[:, None] - 1, other, None])[..., 0]
+        res[:, :inner.size] += (lm[own[:, None], other]
+                                @ x[:, order + inner[:, None] + 1, other, None])[..., 0]
+        if p == 0:
+            res[:, 0, 0] = x[:, order, ::dim + 1].sum(axis=1) - 1.0
+        worst = np.maximum(worst, np.abs(res).max(axis=(1, 2)))
     scale = np.maximum(1.0, np.abs(l0).sum(axis=2).max(axis=1)
                        + np.abs(lp).sum(axis=1).max() + np.abs(lm).sum(axis=1).max()
                        + order * delta)
     bound = 1e-7 * scale * np.maximum(1.0, np.abs(x).max(axis=(1, 2)))
-    worst = np.abs(res).max(axis=(1, 2))
     errors = {}
-    for b in np.flatnonzero(~(worst <= bound)):
-        reason = ("singular" if not np.isfinite(worst[b]) else
+    for b in np.flatnonzero(~(worst <= bound) | ~np.isfinite(scale)):
+        reason = ("singular" if not np.isfinite([worst[b], scale[b]]).all() else
                   f"singular or ill-conditioned (residual {worst[b]:.3e} "
                   f"exceeds {bound[b]:.3e})")
         errors[int(b)] = DegenerateModelError(f"harmonic-balance system is {reason}")
@@ -390,8 +411,9 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
                 "steady state not unique: more than one decoupled stationary "
                 "population (probe, pump and couplings all off)")
 
-    x, tangent = _continued_fraction(l0, lp, lm, delta, order, dl0)
-    for b, exc in _residual_errors(x, l0, lp, lm, delta, order).items():
+    sectors = _sectors(l0, lp, lm, dl0)
+    x, tangent = _continued_fraction(l0, lp, lm, delta, order, dl0, sectors)
+    for b, exc in _residual_errors(x, l0, lp, lm, delta, sectors).items():
         errors.setdefault(b, exc)
     harmonics = x.reshape(batch, 2 * order + 1, dim, dim)
     for b, problems in enumerate(_invariant_violations(harmonics, atol=1e-8)):
@@ -430,6 +452,21 @@ def harmonic_tail_ok(fd: FloquetDensity) -> bool:
     return bool(_tails_ok(fd.harmonics[None])[0])
 
 
+def _member_bytes(dim2: int, order: int, tangent: bool) -> int:
+    """What one member of a ``solve_converged_batch`` chunk at ``order``
+    keeps live, counted against CHUNK_BYTES.
+
+    Per harmonic k > 0 (k < 0 is mirrored): S_k, at most dim^4 / 4 numbers
+    between two sectors, and rho_+-k; with the tangent also g_k and
+    y_+-k. Per member: L0 (dim^4), and its sector blocks with the
+    zeroth-harmonic matrix, counted as dim^4 more (236 of 256 for the
+    paper's 10/6 split). A batch without a parity split keeps about three
+    times more.
+    """
+    per_harmonic = dim2 ** 2 // 4 + 2 * dim2 + (3 * dim2 if tangent else 0)
+    return (order * per_harmonic + 2 * dim2 ** 2) * COMPLEX_BYTES
+
+
 def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
                           lp: np.ndarray, lm: np.ndarray, delta: float,
                           orders, cap: int, dl0: np.ndarray | None = None
@@ -440,9 +477,9 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
     ``l0_of(members)`` returns the (len(members), dim^2, dim^2) stack of the
     given member indices. Each member starts at its seed in ``orders`` and
     raises its order n to max(n + 2, ceil(1.4 n)), at most ``cap``. Members
-    at the same order are solved together in chunks of at most CHUNK_BYTES
-    of storage, counted for a parity split (a batch without one keeps about
-    three times more); only those whose tail fails climb, also when ``solve_batch`` flags them below ``cap``
+    at the same order are solved together, in as few equal chunks as keep
+    at most CHUNK_BYTES live each (``_member_bytes``); only those whose
+    tail fails climb, also when ``solve_batch`` flags them below ``cap``
     with finite harmonics.
     Returns rho_0, (1, batch, dim, dim), with ``dl0`` (dL0/dp of every
     member) stacked on d rho_0/dp, (2, batch, dim, dim), from one tangent
@@ -463,14 +500,8 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
         for n in np.unique(orders[pending]):
             n = int(n)
             group = pending[orders[pending] == n]
-            # per harmonic k > 0 (k < 0 is mirrored): S_k, at most
-            # dim^4 / 4 between two sectors, rho_+-k, and g_k and y_+-k
-            stored = dim2 ** 2 // 4 + 2 * dim2
-            if dl0 is not None:
-                stored += 3 * dim2
-            chunk = max(1, CHUNK_BYTES // (n * stored * COMPLEX_BYTES))
-            for start in range(0, group.size, chunk):
-                members = group[start:start + chunk]
+            chunk = max(1, CHUNK_BYTES // _member_bytes(dim2, n, dl0 is not None))
+            for members in np.array_split(group, -(-group.size // chunk)):
                 harmonics, failed, tangent = solve_batch(l0_of(members), lp, lm,
                                                          delta, n, dl0)
                 ok = _tails_ok(harmonics)
@@ -484,9 +515,9 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
                 if dl0 is not None and done.size:
                     rho0[1, done] = tangent(np.flatnonzero(ok))[:, n]
                 accepted[done] = n
-                # the tangent holds this chunk's S_n: free them
-                # before the next chunk forms its own
-                del tangent
+                # free this chunk's harmonics and S_n (the tangent
+                # holds them) before the next chunk forms its own
+                del harmonics, tangent
                 for b in np.flatnonzero(~ok):
                     member = int(members[b])
                     if member in errors:

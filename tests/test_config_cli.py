@@ -70,6 +70,7 @@ class TestParseConfig:
         ("[drive]\nomega_c_gamma3 = 10\nomega_c_gamma3 = 20\n", 3, "twice"),
         ("[drive]\ndelta_p_gamma3 = 95\n", 2, "unknown key 'delta_p_gamma3'"),
         ("[drive]\nomega_c_gamma3 = 0\ndelta_gamma3 = 0\n", 3, "delta must be positive"),
+        ("[drive]\nomega_p_gamma3 = 0\nomega_c_gamma3 = 10\n", 3, "omega_p must be positive"),
     ])
     def test_rejected_section_reports_its_last_line(self, text, line, field):
         # each was once accepted, or rejected without a line, and failed later

@@ -273,6 +273,57 @@ class TestMirrorPrecondition:
             assert np.array_equal(fd.harmonic(-n), fd.harmonic(n).conj().T)
 
 
+class TestResidualCheck:
+    """The residual check reads each n >= 0 harmonic on its sector blocks.
+    The rows it skips are exact zeros or mirror images, so it still flags a
+    spoiled member, and only that member."""
+
+    ODD = np.setdiff1d(np.arange(16), PAPER_EVEN)
+
+    @staticmethod
+    def paper_stack():
+        per_d2, per_shift = detuning_generators()[:2]
+        paper = liouvillian(rate=0.4)
+        return paper, np.stack([paper.l0, paper.l0 + 0.1 * per_d2,
+                                paper.l0 - 60.0 * per_shift, paper.l0 - 0.1 * per_d2])
+
+    @staticmethod
+    def unseen_by_neighbours(liouv, sector, other):
+        """A unit vector on ``sector`` that L(+-1) map to 0 in ``other``: a
+        harmonic spoiled along it spoils only its own rows."""
+        drive = np.vstack([liouv.l_plus[other[:, None], sector],
+                           liouv.l_minus[other[:, None], sector]])
+        return scipy.linalg.null_space(drive)[:, 0]
+
+    def test_spoiled_solution_flags_only_its_member(self):
+        paper, l0 = self.paper_stack()
+        harmonics, errors, _ = solve_batch(l0, paper.l_plus, paper.l_minus, 0.2, 10)
+        assert not errors
+        x = harmonics.reshape(4, 21, 16).copy()
+        x[1, 10 + 4, PAPER_EVEN] += 1e-3 * self.unseen_by_neighbours(
+            paper, PAPER_EVEN, self.ODD)
+        x[2, 10 + 3, self.ODD] += 1e-3 * self.unseen_by_neighbours(
+            paper, self.ODD, PAPER_EVEN)
+        x[3] *= 1.0 + 1e-3       # every balance row holds, the trace row does not
+        sectors = floquet._sectors(l0, paper.l_plus, paper.l_minus, None)
+        errors = floquet._residual_errors(x, l0, paper.l_plus, paper.l_minus, 0.2,
+                                          sectors)
+        assert sorted(errors) == [1, 2, 3]
+        assert all(isinstance(e, DegenerateModelError) for e in errors.values())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_off_the_blocks_fails_its_member(self, value):
+        # the blocks solve the member to finite harmonics; the check fails it
+        paper, l0 = self.paper_stack()
+        l0[2, PAPER_EVEN[3], self.ODD[1]] = value
+        even, _ = floquet._sectors(l0, paper.l_plus, paper.l_minus, None)
+        assert even.tolist() == PAPER_EVEN.tolist()
+        harmonics, errors, _ = solve_batch(l0, paper.l_plus, paper.l_minus, 0.2, 10)
+        assert list(errors) == [2]
+        assert isinstance(errors[2], DegenerateModelError)
+        assert np.isfinite(harmonics).all()
+
+
 class TestTangent:
     """The tangent pass against the derivative of the dense truncated system."""
 

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -241,9 +242,7 @@ class TestScan:
         evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
         grid = np.linspace(-1.0, 1.0, 2001)
         scan = scan_evaluator(evaluator, grid).chi
-        # members at order 10: S_n (at most 64 numbers between two sectors)
-        # and rho_+-n
-        member = 10 * (64 + 32) * 16
+        member = floquet._member_bytes(16, 10, False)
         chunk = floquet.CHUNK_BYTES // member
         for i in (0, chunk - 1, chunk, 1000, 1337, 2000):
             assert evaluator(grid[i]) == scan[i]
@@ -256,8 +255,7 @@ class TestScan:
         grid = np.linspace(-1.0, 1.0, 2001)
         chi, dchi = evaluator.tangent(grid)
         assert np.array_equal(chi, evaluator(grid))
-        # members at order 10 with the tangent's g_n and y_+-n per harmonic
-        member = 10 * (64 + 32 + 16 + 32) * 16
+        member = floquet._member_bytes(16, 10, True)
         chunk = floquet.CHUNK_BYTES // member
         for i in (0, chunk - 1, chunk, 1000, 1337, 2000):
             assert evaluator.tangent(grid[i]) == (chi[i], dchi[i])
@@ -266,26 +264,49 @@ class TestScan:
         assert np.array_equal(chunked[0], chi[45:60])
         assert np.array_equal(chunked[1], dchi[45:60])
 
-    def test_chunks_hold_no_more_members_than_sixteen_by_sixteen_did(self, monkeypatch):
-        # 1 MiB of 16 x 16 S_n blocks (and the tangent's 16-vector) set the
-        # member counts before the parity sectors: the sector count, four
-        # times smaller, must not raise them
-        evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
-        grid = np.linspace(-1.0, 1.0, 2001)
-        calls = []
+    @pytest.mark.parametrize("name, order, shift, points, tangent", [
+        ("fig2c", 10, 0.0, 2001, False),
+        # fig6 velocity classes near s = 112.9 gamma3 settle at order 111;
+        # two full chunks of them
+        ("fig6", 111, 112.9, None, True)], ids=["order-10", "order-111-tangent"])
+    def test_chunk_keeps_its_budget_live(self, monkeypatch, name, order, shift,
+                                         points, tangent):
+        # over what the ladder returns, tracemalloc measures 1.2 CHUNK_BYTES
+        # at order 10 and 1.0 at order 111 with the tangent (1.5 when the
+        # tangent copies its chunk's S_n)
+        points = points or 2 * (floquet.CHUNK_BYTES
+                                // floquet._member_bytes(16, order, tangent))
+        config = preset(name)
+        liouv = build_liouvillian(config.system, config.drive, PumpModel.direct(0.0))
+        per_d2, per_shift = detuning_generators()[:2]
+        grid = np.linspace(-1.0, 1.0, points)
+        l0 = liouv.l0 + shift * per_shift
+
+        def ladder(members):
+            return floquet.solve_converged_batch(
+                lambda m: l0 + grid[members][m, None, None] * per_d2, liouv.l_plus,
+                liouv.l_minus, config.drive.delta, np.full(members.size, order),
+                order, per_d2 if tangent else None)
+
+        ladder(np.arange(2))         # numpy's one-time allocations
+        sizes = []
         solve = floquet.solve_batch
 
-        def recording(l0, lp, lm, delta, order, *args):
-            calls.append((order, l0.shape[0]))
-            return solve(l0, lp, lm, delta, order, *args)
+        def recording(l0, *args):
+            sizes.append(l0.shape[0])
+            return solve(l0, *args)
 
         monkeypatch.setattr(floquet, "solve_batch", recording)
-        for run, old_member in ((evaluator, 256), (evaluator.tangent, 256 + 16)):
-            calls.clear()
-            run(grid)
-            assert all(count <= 2 ** 20 // (order * old_member * 16)
-                       for order, count in calls)
-            assert max(count for _, count in calls) > 1
+        tracemalloc.start()
+        try:
+            _, orders, errors = ladder(np.arange(points))
+            returned, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not errors and set(orders.tolist()) == {order}
+        assert peak - returned <= 1.35 * floquet.CHUNK_BYTES
+        assert len(sizes) > 1 and min(sizes) > 1
+        assert max(sizes) - min(sizes) <= 1
 
     def test_sectors_found_once_per_solve(self, monkeypatch):
         # the ladder sizes its chunks from dim alone, not from the sectors
@@ -306,6 +327,22 @@ class TestScan:
         evaluator.tangent(np.linspace(-1.0, 1.0, 101))
         assert counts["solve_batch"] > 1
         assert counts["_sectors"] == counts["solve_batch"]
+
+    def test_fig6_doppler_point_solves_whole_rungs(self, monkeypatch):
+        # 64 classes climb to order 219 from the base rung: a few chunks per
+        # rung, not one or two classes per solve (86 calls with those)
+        fig6 = preset("fig6")
+        calls = []
+        solve = floquet.solve_batch
+
+        def counted(l0, *args):
+            calls.append(l0.shape[0])
+            return solve(l0, *args)
+
+        monkeypatch.setattr(floquet, "solve_batch", counted)
+        group_index_at(fig6.system, fig6.drive, PumpModel.direct(0.0), fig6.scale,
+                       doppler=fig6.doppler)
+        assert len(calls) <= 40
 
     def test_doppler_value_independent_of_batch(self):
         config = DopplerConfig(nodes=16)
