@@ -6,7 +6,7 @@ Usage:
 
 Every scenario writes its SVG charts beside its CSV tables.
 
-fig6 velocity-averages a full pump sweep and takes about 2.3 s on a
+fig6 velocity-averages a full pump sweep and takes about 1.8 s on a
 2-core host, fig4 about 0.5 s and every other preset 0.2-0.3 s, each
 with its interpreter start.
 

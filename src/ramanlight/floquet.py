@@ -15,6 +15,8 @@ diag(1, -1, 1, 1) does for the coupling pair that touches only |2>,
 even harmonics live in one sector of vec(rho) and odd ones in the other,
 so the fraction runs on 10 x 10 and 6 x 6 blocks instead of 16 x 16. One
 split serves the whole batch; without such a parity it is every entry.
+The solve keeps rho_n for n >= 0 only, each on its own sector
+(``SectorHarmonics``), and expands the full harmonics on request.
 
 An independent oracle integrates the master equation with a fixed-step RK4
 scheme: the one-period propagator and the period-average operator are built
@@ -34,12 +36,13 @@ from .atom import DegenerateModelError, LiouvillianHarmonics
 
 MAX_ORDER = 25
 # live storage of one solve chunk, as ``_member_bytes`` counts it: per
-# harmonic S_k and rho_+-k (with the tangent g_k and y_+-k), per member L0,
-# its sector blocks and the zeroth-harmonic matrix. tracemalloc puts the
-# peak of a chunk, the residual and invariant checks' temporaries included,
-# at 1.0 to 1.2 times this count. 1152 KiB is the smallest multiple of
-# 128 KiB at which a fig6 Doppler point at R = 0 makes under 40
-# ``solve_batch`` calls (37); more fills chunks further but raises peak RSS
+# harmonic S_k and rho_k on its sector (with the tangent g_k and y_k), per
+# member L0, its sector blocks and the zeroth-harmonic matrix. tracemalloc
+# puts the peak of a chunk, the residual and invariant checks' temporaries
+# included, at 1.0 to 1.3 times this count. 1152 KiB is kept from the
+# full-size storage, where it was the smallest multiple of 128 KiB at which
+# a fig6 Doppler point at R = 0 made under 40 ``solve_batch`` calls; the
+# packed storage fits more members in it (28 calls)
 CHUNK_BYTES = 1152 * 2 ** 10
 COMPLEX_BYTES = 16
 
@@ -72,38 +75,81 @@ class FloquetDensity:
         return np.tensordot(phases, self.harmonics, axes=1)
 
     def invariant_violations(self, atol: float = 1e-10) -> list[str]:
-        """Check trace, Hermiticity pairing and population bounds."""
-        return _invariant_violations(self.harmonics[None], atol)[0]
+        """Check trace and population bounds."""
+        upper = self.harmonics[self.order:]
+        return _invariant_violations(np.trace(upper, axis1=1, axis2=2)[None],
+                                     np.diagonal(upper[0])[None], atol)[0]
 
 
-def _invariant_violations(harmonics: np.ndarray, atol: float) -> list[list[str]]:
-    """Invariant problems of each member of a (batch, 2 order + 1, dim, dim) stack."""
-    order = (harmonics.shape[1] - 1) // 2
-    traces = np.trace(harmonics, axis1=2, axis2=3)
-    pairs = np.abs(harmonics[:, order - 1::-1]
-                   - harmonics[:, order + 1:].conj().swapaxes(2, 3)).max(axis=(2, 3))
-    pops = np.diagonal(harmonics[:, order], axis1=1, axis2=2)
-    bad = ~((np.abs(traces[:, order] - 1.0) <= atol)
-            & np.all(np.abs(traces[:, order + 1:]) <= atol, axis=1)
-            & np.all(pairs <= atol, axis=1)
+def _invariant_violations(traces: np.ndarray, pops: np.ndarray,
+                          atol: float) -> list[list[str]]:
+    """Invariant problems of each member of a batch, from trace(rho_n) for
+    n = 0 ... order, (batch, order + 1), and the populations of rho_0,
+    (batch, dim). rho_-n = rho_n^dagger holds by construction
+    (``_continued_fraction``), so the n < 0 side adds nothing to check."""
+    bad = ~((np.abs(traces[:, 0] - 1.0) <= atol)
+            & np.all(np.abs(traces[:, 1:]) <= atol, axis=1)
             & np.all(np.abs(pops.imag) <= atol, axis=1)
             & np.all((pops.real >= -atol) & (pops.real <= 1.0 + atol), axis=1))
-    problems: list[list[str]] = [[] for _ in range(harmonics.shape[0])]
+    problems: list[list[str]] = [[] for _ in range(traces.shape[0])]
     for b in np.flatnonzero(bad):
         found = problems[b]
-        trace0 = traces[b, order]
+        trace0 = traces[b, 0]
         if not abs(trace0 - 1.0) <= atol:
             found.append(f"trace(rho_0) = {trace0:.3e} != 1")
-        for n in range(1, order + 1):
-            if not abs(traces[b, order + n]) <= atol:
+        for n in range(1, traces.shape[1]):
+            if not abs(traces[b, n]) <= atol:
                 found.append(f"trace(rho_{n}) != 0")
-            if not pairs[b, n - 1] <= atol:
-                found.append(f"rho_-{n} != rho_{n}^dagger (max dev {pairs[b, n - 1]:.3e})")
         if not np.max(np.abs(pops[b].imag)) <= atol:
             found.append("populations not real")
         if not (np.min(pops[b].real) >= -atol and np.max(pops[b].real) <= 1.0 + atol):
             found.append(f"populations outside [0, 1]: {pops[b].real}")
     return problems
+
+
+@dataclass
+class SectorHarmonics:
+    """The harmonics x_0 ... x_order of a batch, each on its parity sector.
+
+    ``parts[p][:, k]`` is vec(x_n) on ``sectors[p]`` for n = 2 k + p, so
+    ``parts[p]`` is (batch, harmonics of parity p, |sectors[p]|). The rest
+    of x_n is exactly 0 and x_-n = x_n^dagger (``_continued_fraction``).
+    """
+
+    sectors: tuple[np.ndarray, np.ndarray]
+    parts: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def order(self) -> int:
+        return self.parts[0].shape[1] + self.parts[1].shape[1] - 1
+
+    @property
+    def dim(self) -> int:
+        # the two sectors hold every entry between them
+        return math.isqrt(int(max(sector[-1] for sector in self.sectors)) + 1)
+
+    def harmonic(self, n: int) -> np.ndarray:
+        """vec(x_n) on the sector of n's parity, (batch, |sector|), n >= 0."""
+        return self.parts[n % 2][:, n // 2]
+
+    def traces(self) -> np.ndarray:
+        """trace(x_n) for n = 0 ... order, (batch, order + 1)."""
+        stride = self.dim + 1     # vec index i dim + j is a multiple of it iff i = j
+        traces = np.empty((self.parts[0].shape[0], self.order + 1), dtype=complex)
+        for p in (0, 1):
+            traces[:, p::2] = self.parts[p][:, :, self.sectors[p] % stride == 0].sum(axis=2)
+        return traces
+
+    def full(self, upto: int | None = None) -> np.ndarray:
+        """x_-upto ... x_upto of every member, (batch, 2 upto + 1, dim, dim),
+        n ascending; every harmonic by default."""
+        upto = self.order if upto is None else upto
+        dim = self.dim
+        x = np.zeros((self.parts[0].shape[0], 2 * upto + 1, dim * dim), dtype=complex)
+        for p in (0, 1):
+            x[:, upto + p::2, self.sectors[p]] = self.parts[p][:, :(upto + 2 - p) // 2]
+        x[:, :upto] = x[:, :upto:-1, _transposition(dim * dim)].conj()
+        return x.reshape(x.shape[0], 2 * upto + 1, dim, dim)
 
 
 @dataclass
@@ -247,9 +293,9 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     homogeneous: where it is singular, the steady state is not unique, and
     the parity-even one is returned without an error.
 
-    Returns the vectorised harmonics, (batch, 2 order + 1, dim^2), n
-    ascending, and the tangent pass of this solve when ``dl0`` is given
-    (``tangent`` below), else None.
+    Returns the harmonics n = 0 ... order on their sectors
+    (``SectorHarmonics``), and the tangent pass of this solve when ``dl0``
+    is given (``tangent`` below), else None.
     """
     dim2 = lp.shape[0]
     dim = math.isqrt(dim2)
@@ -273,16 +319,15 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     e0 = np.zeros((even.size, 1), dtype=complex)
     e0[0] = 1.0
 
-    def harmonics(y0: np.ndarray, terms) -> np.ndarray:
-        """Full-size harmonics from the sector vectors y_n = terms(n, y_{n-1})."""
-        y = np.zeros((y0.shape[0], 2 * order + 1, dim2), dtype=complex)
-        y[:, order, even] = y0[..., 0]
+    def harmonics(y0: np.ndarray, terms) -> SectorHarmonics:
+        """The sector vectors y_0 and y_n = terms(n, y_{n-1}), n = 1 ... order."""
+        parts = tuple(np.empty((y0.shape[0], (order + 2 - p) // 2, sectors[p].size),
+                               dtype=complex) for p in (0, 1))
+        parts[0][:, 0] = y0[..., 0]
         for n in range(1, order + 1):
             y0 = terms(n, y0)
-            y[:, order + n, sectors[n % 2]] = y0[..., 0]
-        mirror = y[:, order + 1:, perm]
-        y[:, order - 1::-1] = np.conjugate(mirror, out=mirror)
-        return y
+            parts[n % 2][:, n // 2] = y0[..., 0]
+        return SectorHarmonics(sectors, parts)
 
     x = harmonics(_solve_stack(m0, e0), lambda n, prev: s[n - 1] @ prev)
     if dl0 is None:
@@ -303,36 +348,35 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
         and m0 y_0 = r_0 - L(+1) h_1 - L(-1) g_1 with trace(y_0) = 0, where
         A_n, S_n and m0 are those formed above; J(dl0) = dl0 gives
         h_n = P conj(g_n) and y_-n = P conj(y_n). The sectors keep dl0, so
-        y lives in them too. Returns y, (len(members), 2 order + 1, dim, dim).
+        y lives in them too. Returns y of the members, as x is returned.
         """
-        if np.array_equal(members, np.arange(x.shape[0])):
-            xs, s_of, blocks_of, m0_of = x, s, blocks, m0
+        if np.array_equal(members, np.arange(m0.shape[0])):
+            xs, s_of, blocks_of, m0_of = x.parts, s, blocks, m0
         else:
-            xs, s_of = x[members], [t[members] for t in s]
+            xs, s_of = [part[members] for part in x.parts], [t[members] for t in s]
             blocks_of, m0_of = [b[members] for b in blocks], m0[members]
         # g_n, from n = order down
         g: list = [None] * order
         for n, a in _fraction_blocks(blocks_of, lm_blocks, delta, s_of):
-            r = -(dl0_blocks[n % 2] @ xs[:, order + n, sectors[n % 2], None])
+            r = -(dl0_blocks[n % 2] @ xs[n % 2][:, n // 2, :, None])
             if n < order:
                 r -= lm_blocks[n % 2] @ g[n]
             g[n - 1] = _solve_stack(a, r)
 
         closing = lm_blocks[0] @ g[0]
-        b0 = (-(dl0_blocks[0] @ xs[:, order, even, None]) - closing
+        b0 = (-(dl0_blocks[0] @ xs[0][:, 0, :, None]) - closing
               - closing[:, perm_even].conj())
         b0[:, 0] = 0.0
-        y = harmonics(_solve_stack(m0_of, b0),
-                      lambda n, prev: g[n - 1] + s_of[n - 1] @ prev)
-        return y.reshape(-1, 2 * order + 1, dim, dim)
+        return harmonics(_solve_stack(m0_of, b0),
+                         lambda n, prev: g[n - 1] + s_of[n - 1] @ prev)
 
     return x, tangent
 
 
-def _residual_errors(x: np.ndarray, l0, lp, lm, delta: float,
-                     sectors) -> dict[int, DegenerateModelError]:
-    """Members whose harmonics ``x`` (``_continued_fraction`` on
-    ``sectors``) do not solve the full balance system.
+def _residual_errors(x: SectorHarmonics, l0, lp, lm,
+                     delta: float) -> dict[int, DegenerateModelError]:
+    """Members whose harmonics ``x`` (``_continued_fraction``) do not solve
+    the full balance system.
 
     It reads the rows of the n >= 0 harmonics on n's own sector: L0's
     block there and L(+-1) from the other sector. The full system's other
@@ -342,29 +386,35 @@ def _residual_errors(x: np.ndarray, l0, lp, lm, delta: float,
     J(L(+1)) = L(-1) to 1e-13). ``_sectors`` ignores non-finite L0
     entries, so a member with any fails here.
     """
-    order = (x.shape[1] - 1) // 2
-    dim = math.isqrt(x.shape[2])
-    worst = np.zeros(x.shape[0])
+    order, sectors = x.order, x.sectors
+    odd = sectors[1]
+    # x_-1 = P conj(x_1): P maps each sector to itself
+    mirror = np.searchsorted(odd, _transposition(lp.shape[0])[odd])
+    x_minus1 = x.harmonic(1)[:, mirror].conj()
+    worst = np.zeros(l0.shape[0])
     for p in (0, 1):
-        n = np.arange(p, order + 1, 2)
-        inner = n[n < order]
         own, other = sectors[p], sectors[1 - p]
-        xn = x[:, order + n[:, None], own]
+        # x_n for n = p, p + 2, ... <= order; x_{n-1}; x_{n+1} for n < order
+        xn = x.parts[p]
+        n = np.arange(p, order + 1, 2)
+        below = (x.parts[0][:, :n.size] if p else
+                 np.concatenate([x_minus1[:, None], x.parts[1][:, :n.size - 1]], axis=1))
+        above = x.parts[1 - p][:, p:]
         # one matrix-vector product per harmonic: a matrix product over
         # all harmonics of a high-order member makes OpenBLAS start threads,
         # which cost ten times the product itself after the solves
         res = ((l0[:, None, own[:, None], own] @ xn[..., None])[..., 0]
                - (1j * delta) * n[:, None] * xn)
-        res += (lp[own[:, None], other] @ x[:, order + n[:, None] - 1, other, None])[..., 0]
-        res[:, :inner.size] += (lm[own[:, None], other]
-                                @ x[:, order + inner[:, None] + 1, other, None])[..., 0]
+        res += (lp[own[:, None], other] @ below[..., None])[..., 0]
+        res[:, :above.shape[1]] += (lm[own[:, None], other] @ above[..., None])[..., 0]
         if p == 0:
-            res[:, 0, 0] = x[:, order, ::dim + 1].sum(axis=1) - 1.0
+            res[:, 0, 0] = x.traces()[:, 0] - 1.0
         worst = np.maximum(worst, np.abs(res).max(axis=(1, 2)))
     scale = np.maximum(1.0, np.abs(l0).sum(axis=2).max(axis=1)
                        + np.abs(lp).sum(axis=1).max() + np.abs(lm).sum(axis=1).max()
                        + order * delta)
-    bound = 1e-7 * scale * np.maximum(1.0, np.abs(x).max(axis=(1, 2)))
+    size = np.maximum(*(np.abs(part).max(axis=(1, 2)) for part in x.parts))
+    bound = 1e-7 * scale * np.maximum(1.0, size)
     errors = {}
     for b in np.flatnonzero(~(worst <= bound) | ~np.isfinite(scale)):
         reason = ("singular" if not np.isfinite([worst[b], scale[b]]).all() else
@@ -376,17 +426,18 @@ def _residual_errors(x: np.ndarray, l0, lp, lm, delta: float,
 
 def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
                 order: int, dl0: np.ndarray | None = None
-                ) -> tuple[np.ndarray, dict[int, Exception], Callable | None]:
+                ) -> tuple[SectorHarmonics, dict[int, Exception], Callable | None]:
     """Periodic steady states of a batch of generators at one truncation order.
 
     ``l0`` is a (batch, dim^2, dim^2) stack sharing the drive terms ``lp``
-    and ``lm``. Returns the harmonics, (batch, 2 order + 1, dim, dim), the
+    and ``lm``. Returns the harmonics n = 0 ... order on their parity
+    sectors (``SectorHarmonics``; ``full()`` gives every harmonic), the
     failing members by index and the tangent pass, None without ``dl0``.
     The errors are DegenerateModelError when the constrained system is
-    singular and SolverError when the solution violates the
-    trace/Hermiticity invariants; a failing member does not affect the
-    others. ``tangent(members)`` returns d harmonics/dp of the given
-    members, (len(members), 2 order + 1, dim, dim), when their L0 moves by
+    singular and SolverError when the solution violates the trace or
+    population invariants; a failing member does not affect the others.
+    ``tangent(members)`` returns d harmonics/dp of the given members, in
+    the same form, when their L0 moves by
     dL0/dp = ``dl0``: the exact derivative of the truncated system, from
     the continued fraction this solve formed. ValueError when J(L0) = L0,
     J(L(+1)) = L(-1) or J(dL0) = dL0 fails beyond rounding
@@ -400,8 +451,7 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
     _require_mirror(lp, lm, "J(L(+1)) = L(-1)")
     if dl0 is not None:
         _require_mirror(dl0, dl0, "J(dL0) = dL0")
-    batch, dim2, _ = l0.shape
-    dim = math.isqrt(dim2)
+    dim = math.isqrt(l0.shape[1])
     errors: dict[int, Exception] = {}
     if not (np.any(lp) or np.any(lm)):
         diagonal = np.arange(dim) * (dim + 1)
@@ -413,14 +463,14 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
 
     sectors = _sectors(l0, lp, lm, dl0)
     x, tangent = _continued_fraction(l0, lp, lm, delta, order, dl0, sectors)
-    for b, exc in _residual_errors(x, l0, lp, lm, delta, sectors).items():
+    for b, exc in _residual_errors(x, l0, lp, lm, delta).items():
         errors.setdefault(b, exc)
-    harmonics = x.reshape(batch, 2 * order + 1, dim, dim)
-    for b, problems in enumerate(_invariant_violations(harmonics, atol=1e-8)):
+    pops = np.diagonal(x.full(0)[:, 0], axis1=1, axis2=2)
+    for b, problems in enumerate(_invariant_violations(x.traces(), pops, atol=1e-8)):
         if problems:
             errors.setdefault(b, SolverError(
                 "steady-state invariants violated: " + "; ".join(problems)))
-    return harmonics, errors, tangent
+    return x, errors, tangent
 
 
 def solve_floquet(liouv: LiouvillianHarmonics, delta: float,
@@ -430,40 +480,41 @@ def solve_floquet(liouv: LiouvillianHarmonics, delta: float,
     Raises DegenerateModelError when the constrained linear system is
     singular (for instance probe, pump and couplings all off, which leaves
     the two ground populations decoupled) and SolverError when the solution
-    violates the trace/Hermiticity invariants.
+    violates the trace or population invariants.
     """
-    harmonics, errors, _ = solve_batch(liouv.l0[None], liouv.l_plus,
-                                       liouv.l_minus, delta, order)
+    x, errors, _ = solve_batch(liouv.l0[None], liouv.l_plus, liouv.l_minus,
+                               delta, order)
     if errors:
         raise errors[0]
-    return FloquetDensity(order=order, delta=delta, harmonics=harmonics[0])
+    return FloquetDensity(order=order, delta=delta, harmonics=x.full()[0])
 
 
-def _tails_ok(harmonics: np.ndarray) -> np.ndarray:
+def _tails_ok(edge: np.ndarray, zeroth: np.ndarray) -> np.ndarray:
     """Per member of a batch: the edge harmonic rho_N is below 1e-6 of the
-    zeroth (rho_-N = rho_N^dagger has the same norm)."""
-    order = (harmonics.shape[1] - 1) // 2
-    return (np.linalg.norm(harmonics[:, -1], axis=(1, 2))
-            <= 1e-6 * np.linalg.norm(harmonics[:, order], axis=(1, 2)))
+    zeroth (rho_-N = rho_N^dagger has the same norm). Both are given as
+    (batch, ...) arrays of their entries, on a sector or in full."""
+    edge, zeroth = (a.reshape(a.shape[0], -1) for a in (edge, zeroth))
+    return np.linalg.norm(edge, axis=1) <= 1e-6 * np.linalg.norm(zeroth, axis=1)
 
 
 def harmonic_tail_ok(fd: FloquetDensity) -> bool:
     """Truncation-order sanity: the edge harmonics must be negligible."""
-    return bool(_tails_ok(fd.harmonics[None])[0])
+    return bool(_tails_ok(fd.harmonic(fd.order)[None], fd.harmonic(0)[None])[0])
 
 
 def _member_bytes(dim2: int, order: int, tangent: bool) -> int:
     """What one member of a ``solve_converged_batch`` chunk at ``order``
     keeps live, counted against CHUNK_BYTES.
 
-    Per harmonic k > 0 (k < 0 is mirrored): S_k, at most dim^4 / 4 numbers
-    between two sectors, and rho_+-k; with the tangent also g_k and
-    y_+-k. Per member: L0 (dim^4), and its sector blocks with the
-    zeroth-harmonic matrix, counted as dim^4 more (236 of 256 for the
-    paper's 10/6 split). A batch without a parity split keeps about three
-    times more.
+    Per harmonic k > 0 (k < 0 is mirrored, not stored): S_k, at most
+    dim^4 / 4 numbers between two sectors, and rho_k on its sector, dim^2 / 2
+    numbers on average (10 and 6 for the paper's split); with the tangent
+    also g_k and y_k, dim^2 more. Per member: L0 (dim^4), and its sector
+    blocks with the zeroth-harmonic matrix, counted as dim^4 more (236 of
+    256 for the paper's split). A batch without a parity split keeps
+    three to four times more.
     """
-    per_harmonic = dim2 ** 2 // 4 + 2 * dim2 + (3 * dim2 if tangent else 0)
+    per_harmonic = dim2 ** 2 // 4 + dim2 // 2 + (dim2 if tangent else 0)
     return (order * per_harmonic + 2 * dim2 ** 2) * COMPLEX_BYTES
 
 
@@ -502,22 +553,22 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
             group = pending[orders[pending] == n]
             chunk = max(1, CHUNK_BYTES // _member_bytes(dim2, n, dl0 is not None))
             for members in np.array_split(group, -(-group.size // chunk)):
-                harmonics, failed, tangent = solve_batch(l0_of(members), lp, lm,
-                                                         delta, n, dl0)
-                ok = _tails_ok(harmonics)
-                finite = np.isfinite(harmonics).all(axis=(1, 2, 3))
+                x, failed, tangent = solve_batch(l0_of(members), lp, lm, delta, n, dl0)
+                ok = _tails_ok(x.harmonic(n), x.harmonic(0))
+                finite = np.all([np.isfinite(part).all(axis=(1, 2)) for part in x.parts],
+                                axis=0)
                 for b, exc in failed.items():
                     if ok[b] or n >= cap or not finite[b]:
                         errors[int(members[b])] = exc
                     ok[b] = False
                 done = members[ok]
-                rho0[0, done] = harmonics[ok, n]
+                rho0[0, done] = x.full(0)[ok, 0]
                 if dl0 is not None and done.size:
-                    rho0[1, done] = tangent(np.flatnonzero(ok))[:, n]
+                    rho0[1, done] = tangent(np.flatnonzero(ok)).full(0)[:, 0]
                 accepted[done] = n
                 # free this chunk's harmonics and S_n (the tangent
                 # holds them) before the next chunk forms its own
-                del harmonics, tangent
+                del x, tangent
                 for b in np.flatnonzero(~ok):
                     member = int(members[b])
                     if member in errors:

@@ -119,9 +119,10 @@ class TestContinuedFraction:
         paper = liouvillian()
         stack = np.stack([paper.l0, shifted.l0, paper.l0])
         stack[2] = np.nan        # one unusable member
-        harmonics, errors, _ = solve_batch(stack, paper.l_plus, paper.l_minus, 0.2, 10)
+        x, errors, _ = solve_batch(stack, paper.l_plus, paper.l_minus, 0.2, 10)
         assert list(errors) == [2]
         assert isinstance(errors[2], DegenerateModelError)
+        harmonics = x.full()
         for b, liouv in ((0, paper), (1, shifted)):
             alone = solve_floquet(liouv, 0.2, 10).harmonics
             assert np.array_equal(harmonics[b], alone)
@@ -148,10 +149,10 @@ class TestContinuedFraction:
         assert not errors
         assert rho0.shape == (2, 2, 4, 4)
         for b, order in enumerate(orders.tolist()):
-            harmonics, _, tangent = solve_batch(stack[b:b + 1], paper.l_plus,
-                                                paper.l_minus, 0.2, order, per_d2)
-            assert np.array_equal(rho0[0, b], harmonics[0, order])
-            assert np.array_equal(rho0[1, b], tangent([0])[0, order])
+            x, _, tangent = solve_batch(stack[b:b + 1], paper.l_plus,
+                                        paper.l_minus, 0.2, order, per_d2)
+            assert np.array_equal(rho0[0, b], x.full()[0, order])
+            assert np.array_equal(rho0[1, b], tangent([0]).full()[0, order])
 
 
 class TestParitySectors:
@@ -209,6 +210,31 @@ class TestParitySectors:
         assert np.all(harmonics[parity == 1][:, [8, 12]] == 0.0)
         assert np.all(harmonics[[12, 16]][:, [8, 12]] != 0.0)
 
+    @pytest.mark.parametrize("split", [True, False], ids=["ten-six", "every-entry"])
+    def test_sector_harmonics_expand_to_the_full_form(self, split):
+        # on arbitrary entries, so that no trace or mirror vanishes by chance
+        liouv = liouvillian(rate=0.4)
+        liouv = liouv if split else without_parity(liouv)
+        sectors = solve_batch(liouv.l0[None], liouv.l_plus, liouv.l_minus, 0.2, 9)[0].sectors
+        rng = np.random.default_rng(7)
+        x = floquet.SectorHarmonics(sectors, tuple(
+            rng.normal(size=(2, count, sector.size, 2)) @ [1.0, 1j]
+            for count, sector in zip((5, 5), sectors)))
+        assert x.order == 9 and x.dim == 4
+        full = x.full()
+        assert full.shape == (2, 19, 4, 4)
+        for n in range(10):
+            on_sector = full[:, 9 + n].reshape(2, 16)
+            assert np.array_equal(on_sector[:, sectors[n % 2]], x.harmonic(n))
+            off_sector = np.setdiff1d(np.arange(16), sectors[n % 2])
+            assert np.all(on_sector[:, off_sector] == 0.0)
+            if n:
+                assert np.array_equal(full[:, 9 - n], full[:, 9 + n].conj().swapaxes(1, 2))
+        assert np.array_equal(x.full(0), full[:, 9:10])
+        assert np.array_equal(x.full(3), full[:, 6:13])
+        assert np.allclose(x.traces(), np.trace(full[:, 9:], axis1=2, axis2=3),
+                           rtol=0.0, atol=1e-14)
+
     def test_same_model_stack_members_are_bitwise_independent(self):
         # one affine family, as every ladder batch is: one split for all
         per_d2, per_shift = detuning_generators()[:2]
@@ -216,17 +242,18 @@ class TestParitySectors:
         stack = np.stack([paper.l0, paper.l0 + 0.1 * per_d2, paper.l0,
                           paper.l0 - 60.0 * per_shift])
         stack[2] = np.nan        # one unusable member
-        harmonics, errors, tangent = solve_batch(stack, paper.l_plus, paper.l_minus,
-                                                 0.2, 10, per_d2)
+        x, errors, tangent = solve_batch(stack, paper.l_plus, paper.l_minus,
+                                         0.2, 10, per_d2)
         assert list(errors) == [2]
-        subset = tangent(np.array([3, 1, 0]))
+        harmonics = x.full()
+        subset = tangent(np.array([3, 1, 0])).full()
         for row, b in enumerate((3, 1, 0)):
             alone, _, alone_tangent = solve_batch(stack[b:b + 1], paper.l_plus,
                                                   paper.l_minus, 0.2, 10, per_d2)
-            assert np.array_equal(harmonics[b], alone[0])
-            assert np.array_equal(subset[row], alone_tangent([0])[0])
+            assert np.array_equal(harmonics[b], alone.full()[0])
+            assert np.array_equal(subset[row], alone_tangent([0]).full()[0])
         alone, _, _ = solve_batch(stack[2:3], paper.l_plus, paper.l_minus, 0.2, 10)
-        assert np.array_equal(harmonics[2], alone[0], equal_nan=True)
+        assert np.array_equal(harmonics[2], alone.full()[0], equal_nan=True)
 
     def test_mixed_model_stack_solves_every_entry_of_each_member(self):
         # a member without the parity sets the split of the whole stack
@@ -234,11 +261,12 @@ class TestParitySectors:
         paper = liouvillian(rate=0.4)
         models = [paper, without_parity(paper), liouvillian(),
                   without_parity(replace(paper, l0=paper.l0 + 0.1 * per_d2))]
-        harmonics, errors, tangent = solve_batch(
+        x, errors, tangent = solve_batch(
             np.stack([m.l0 for m in models]), paper.l_plus, paper.l_minus, 0.2, 10,
             per_d2)
         assert not errors
-        y = tangent(np.arange(len(models)))
+        assert [part.shape[2] for part in x.parts] == [16, 16]
+        harmonics, y = x.full(), tangent(np.arange(len(models))).full()
         for b, liouv in enumerate(models):
             assert_harmonics_close(harmonics[b], dense_harmonics(liouv, 0.2, 10), 1e-12)
             assert_harmonics_close(y[b], dense_tangent(liouv, 0.2, 10, per_d2), 1e-10)
@@ -272,6 +300,19 @@ class TestMirrorPrecondition:
         for n in range(1, 11):
             assert np.array_equal(fd.harmonic(-n), fd.harmonic(n).conj().T)
 
+    def test_expanded_harmonics_are_exact_adjoints_on_every_path(self):
+        # the solve stores n >= 0 only; the expansion writes the n < 0 side
+        per_d2 = detuning_generators()[0]
+        shifted = liouvillian(PAPER_DRIVE.doppler_shifted(-60.0), rate=0.2)
+        for liouv in (shifted, without_parity(shifted)):
+            x, errors, tangent = solve_batch(liouv.l0[None], liouv.l_plus,
+                                             liouv.l_minus, 0.2, 31, per_d2)
+            assert not errors
+            for harmonics in (x.full()[0], tangent([0]).full()[0]):
+                for n in range(1, 32):
+                    assert np.array_equal(harmonics[31 - n],
+                                          harmonics[31 + n].conj().T)
+
 
 class TestResidualCheck:
     """The residual check reads each n >= 0 harmonic on its sector blocks.
@@ -297,17 +338,17 @@ class TestResidualCheck:
 
     def test_spoiled_solution_flags_only_its_member(self):
         paper, l0 = self.paper_stack()
-        harmonics, errors, _ = solve_batch(l0, paper.l_plus, paper.l_minus, 0.2, 10)
+        x, errors, _ = solve_batch(l0, paper.l_plus, paper.l_minus, 0.2, 10)
         assert not errors
-        x = harmonics.reshape(4, 21, 16).copy()
-        x[1, 10 + 4, PAPER_EVEN] += 1e-3 * self.unseen_by_neighbours(
-            paper, PAPER_EVEN, self.ODD)
-        x[2, 10 + 3, self.ODD] += 1e-3 * self.unseen_by_neighbours(
-            paper, self.ODD, PAPER_EVEN)
-        x[3] *= 1.0 + 1e-3       # every balance row holds, the trace row does not
-        sectors = floquet._sectors(l0, paper.l_plus, paper.l_minus, None)
-        errors = floquet._residual_errors(x, l0, paper.l_plus, paper.l_minus, 0.2,
-                                          sectors)
+        assert [part.shape for part in x.parts] == [(4, 6, 10), (4, 5, 6)]
+        even, odd = (part.copy() for part in x.parts)
+        even[1, 4 // 2] += 1e-3 * self.unseen_by_neighbours(paper, PAPER_EVEN, self.ODD)
+        odd[2, 3 // 2] += 1e-3 * self.unseen_by_neighbours(paper, self.ODD, PAPER_EVEN)
+        # every balance row holds, the trace row does not
+        even[3] *= 1.0 + 1e-3
+        odd[3] *= 1.0 + 1e-3
+        spoiled = floquet.SectorHarmonics(x.sectors, (even, odd))
+        errors = floquet._residual_errors(spoiled, l0, paper.l_plus, paper.l_minus, 0.2)
         assert sorted(errors) == [1, 2, 3]
         assert all(isinstance(e, DegenerateModelError) for e in errors.values())
 
@@ -318,10 +359,10 @@ class TestResidualCheck:
         l0[2, PAPER_EVEN[3], self.ODD[1]] = value
         even, _ = floquet._sectors(l0, paper.l_plus, paper.l_minus, None)
         assert even.tolist() == PAPER_EVEN.tolist()
-        harmonics, errors, _ = solve_batch(l0, paper.l_plus, paper.l_minus, 0.2, 10)
+        x, errors, _ = solve_batch(l0, paper.l_plus, paper.l_minus, 0.2, 10)
         assert list(errors) == [2]
         assert isinstance(errors[2], DegenerateModelError)
-        assert np.isfinite(harmonics).all()
+        assert np.isfinite(x.full()).all()
 
 
 class TestTangent:
@@ -333,7 +374,7 @@ class TestTangent:
         _, errors, tangent = solve_batch(liouv.l0[None], liouv.l_plus,
                                          liouv.l_minus, 0.2, order, per_d2)
         assert not errors
-        assert_harmonics_close(tangent([0])[0],
+        assert_harmonics_close(tangent([0]).full()[0],
                                dense_tangent(liouv, 0.2, order, per_d2), 1e-10)
 
     @pytest.mark.parametrize("rate", [0.0, 0.4])
@@ -351,7 +392,7 @@ class TestTangent:
         _, errors, tangent = solve_batch(liouv.l0[None], liouv.l_plus,
                                          liouv.l_minus, 0.2, 10, static_23())
         assert not errors
-        y = tangent([0])[0]
+        y = tangent([0]).full()[0]
         assert_harmonics_close(y, dense_tangent(liouv, 0.2, 10, static_23()), 1e-10)
         assert np.abs(y[10]).max() > 0.0
 
@@ -361,11 +402,11 @@ class TestTangent:
         paper = liouvillian()
         stack = np.stack([paper.l0, liouvillian(rate=0.4).l0, paper.l0 + 0.1 * per_d2])
         _, _, tangent = solve_batch(stack, paper.l_plus, paper.l_minus, 0.2, 10, per_d2)
-        subset = tangent(np.array([0, 2]))
+        subset = tangent(np.array([0, 2])).full()
         for row, b in enumerate((0, 2)):
             _, _, alone = solve_batch(stack[b:b + 1], paper.l_plus, paper.l_minus,
                                       0.2, 10, per_d2)
-            assert np.array_equal(subset[row], alone([0])[0])
+            assert np.array_equal(subset[row], alone([0]).full()[0])
 
 
 class TestSolveFloquet:
@@ -398,6 +439,24 @@ class TestSolveFloquet:
     def test_invariants_at_paper_point(self):
         fd = solve_floquet(liouvillian(rate=0.4), PAPER_DRIVE.delta, 11)
         assert fd.invariant_violations(atol=1e-10) == []
+
+    def test_spoiled_invariants_are_named(self):
+        # the packed solve and FloquetDensity report the same problems
+        liouv = liouvillian(rate=0.4)
+        x, errors, _ = solve_batch(liouv.l0[None], liouv.l_plus, liouv.l_minus, 0.2, 4)
+        assert not errors
+        even, odd = (part.copy() for part in x.parts)
+        rho22 = np.flatnonzero(x.sectors[0] == 5)[0]
+        even[0, 0, rho22] += 0.5j          # trace(rho_0) and a population
+        even[0, 1, rho22] += 1e-3          # trace(rho_2)
+        spoiled = floquet.SectorHarmonics(x.sectors, (even, odd))
+        packed = floquet._invariant_violations(
+            spoiled.traces(), np.diagonal(spoiled.full(0)[:, 0], axis1=1, axis2=2), 1e-10)
+        fd = floquet.FloquetDensity(order=4, delta=0.2, harmonics=spoiled.full()[0])
+        assert packed == [fd.invariant_violations()]
+        assert [p.split(" ")[0] for p in packed[0]] == [
+            "trace(rho_0)", "trace(rho_2)", "populations"]
+        assert packed[0][2] == "populations not real"
 
     def test_positivity_at_sixteen_phases(self):
         fd = solve_floquet(liouvillian(), PAPER_DRIVE.delta, 11)
@@ -489,9 +548,9 @@ class TestSolveConverged:
 
     def test_order_climbs_by_forty_percent_or_two(self, solved_orders,
                                                   monkeypatch):
-        # harmonics of order n hold 2 n + 1 entries: pass from order 20 on
-        monkeypatch.setattr(floquet, "_tails_ok",
-                            lambda h: np.full(len(h), h.shape[1] >= 41))
+        # the tail test reads the rung just solved: pass from order 20 on
+        monkeypatch.setattr(floquet, "_tails_ok", lambda edge, zeroth: np.full(
+            len(edge), solved_orders[-1] >= 20))
         liouv = liouvillian()
         rho0, order = converged(liouv)
         assert solved_orders == [1, 3, 5, 7, 10, 14, 20]
@@ -571,7 +630,8 @@ class TestTimeDomainOracle:
 def zero_drive_batch(l0):
     """solve_batch at order 1 with no drive terms: the static steady states."""
     no_drive = np.zeros(l0.shape[-2:], dtype=complex)
-    harmonics, errors, _ = solve_batch(l0, no_drive, no_drive, 1.0, 1)
+    x, errors, _ = solve_batch(l0, no_drive, no_drive, 1.0, 1)
+    harmonics = x.full()
     solved = [b for b in range(l0.shape[0]) if b not in errors]
     assert np.all(harmonics[solved][:, [0, 2]] == 0.0)
     return harmonics[:, 1], errors
