@@ -64,7 +64,8 @@ class GridSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A scenario as the runners take it; ``doppler`` is None when off."""
+    """A scenario as the runners take it; ``doppler`` is None when off, and
+    otherwise shares the scale's gamma3 and probe wavevector."""
 
     system: AtomicSystem = field(default_factory=AtomicSystem)
     drive: DriveConfig = field(default_factory=DriveConfig)
@@ -74,6 +75,13 @@ class ScenarioConfig:
     pulse: PulseSettings = field(default_factory=PulseSettings)
     grid: GridSettings = field(default_factory=GridSettings)
     scenario: str | None = None
+
+    def __post_init__(self):
+        d, s = self.doppler, self.scale
+        ours = (s.gamma3, 2.0 * math.pi / s.wavelength)
+        if d is not None and not all(map(math.isclose, (d.gamma3, d.wavevector), ours)):
+            raise ValueError(f"Doppler gamma3 and wavevector {(d.gamma3, d.wavevector)} "
+                             f"disagree with the scale's {ours}")
 
 
 _UNIT_SUFFIXES = ("_gamma3", "_rad_per_s", "_per_m3", "_kg", "_m", "_s", "_k")

@@ -7,16 +7,17 @@ the block-tridiagonal balance equations
 
 for |n| <= order, with one scalar equation replaced by trace(rho_0) = 1.
 A matrix continued fraction solves the system exactly, for a whole batch
-of generators at once (one stacked solve per harmonic n > 0). The
-generator keeps rho(t) Hermitian (``solve_batch`` checks it), so
-rho_-n = rho_n^dagger and the n < 0 side of the fraction is mirrored.
+of generators at once (one stacked solve per harmonic n > 0). rho(t)
+stays Hermitian, so L(-1) = J(L(+1)) is formed, not given, rho_-n =
+rho_n^dagger and the n < 0 side of the fraction is mirrored.
 When a level parity U = diag(+-1) keeps L0 and flips L(+-1), as
 diag(1, -1, 1, 1) does for the coupling pair that touches only |2>,
 even harmonics live in one sector of vec(rho) and odd ones in the other,
 so the fraction runs on 10 x 10 and 6 x 6 blocks instead of 16 x 16. One
 split serves the whole batch; without such a parity it is every entry.
 The solve keeps rho_n for n >= 0 only, each on its own sector
-(``SectorHarmonics``), and expands the full harmonics on request.
+(``SectorHarmonics``), and expands the full harmonics on request. The
+ladder raises each member's order up to the one cap MAX_ORDER.
 
 An independent oracle integrates the master equation with a fixed-step RK4
 scheme: the one-period propagator and the period-average operator are built
@@ -34,15 +35,15 @@ import numpy as np
 
 from .atom import DegenerateModelError, LiouvillianHarmonics
 
-MAX_ORDER = 25
+# the ladder's one truncation cap (anchors, points, velocity classes, EIT):
+# fig6's classes accept at up to order 219, Omega_c = 300 gamma3 at 56
+MAX_ORDER = 600
 # live storage of one solve chunk, as ``_member_bytes`` counts it: per
 # harmonic S_k and rho_k on its sector (with the tangent g_k and y_k), per
 # member L0, its sector blocks and the zeroth-harmonic matrix. tracemalloc
 # puts the peak of a chunk, the residual and invariant checks' temporaries
-# included, at 1.0 to 1.3 times this count. 1152 KiB is kept from the
-# full-size storage, where it was the smallest multiple of 128 KiB at which
-# a fig6 Doppler point at R = 0 made under 40 ``solve_batch`` calls; the
-# packed storage fits more members in it (28 calls)
+# included, at 1.0 to 1.3 times this count. At 1152 KiB a fig6 Doppler
+# point at R = 0 solves its rungs in 28 ``solve_batch`` calls
 CHUNK_BYTES = 1152 * 2 ** 10
 COMPLEX_BYTES = 16
 
@@ -194,15 +195,15 @@ def _mirror(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return m.conj()[..., perm[:, None], perm]
 
 
-def _require_mirror(m: np.ndarray, image: np.ndarray, identity: str) -> None:
-    """ValueError unless J(m) = ``image`` to rounding, matrix by matrix.
+def _require_mirror(m: np.ndarray, identity: str) -> None:
+    """ValueError unless J(m) = m to rounding, matrix by matrix.
 
     J(M) = M holds when M maps Hermitian matrices to Hermitian ones. A NaN
     entry passes: the residual check reports its member.
     """
-    scale = np.maximum(1.0, np.abs(image).max(axis=(-2, -1)))
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     mirrored = _mirror(m, _transposition(m.shape[-1]))
-    if np.any(np.abs(mirrored - image).max(axis=(-2, -1)) > 1e-13 * scale):
+    if np.any(np.abs(mirrored - m).max(axis=(-2, -1)) > 1e-13 * scale):
         raise ValueError(f"{identity} is broken: rho(t) would not stay Hermitian")
 
 
@@ -214,16 +215,16 @@ def _level_parities(dim: int) -> np.ndarray:
     return (u[:, :, None] * u[:, None, :]).reshape(codes.size, dim * dim)
 
 
-def _sectors(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
+def _sectors(l0: np.ndarray, lp: np.ndarray,
              dl0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The (even, odd) split of vec(rho) indices that a whole batch shares.
 
     It is the split of the first level parity U whose ad_U keeps every
     finite entry of every member's L0 and every entry of ``dl0``, and flips
-    L(+1) and L(-1): the even sector holds the entries that ad_U keeps, the
-    odd one those it flips. NaN and inf entries are ignored (the residual
-    check reports such a member). Without such a parity (only +-I, which
-    flips nothing) even = odd = every entry.
+    L(+1), hence L(-1) = J(L(+1)) (ad_U commutes with J). The even sector
+    holds the entries that ad_U keeps, the odd one those it flips. NaN and
+    inf entries are ignored (the residual check fails such a member); with
+    no such parity (only +-I, which flips nothing) even = odd = all entries.
     """
     dim2 = lp.shape[0]
     signs = _level_parities(math.isqrt(dim2))
@@ -231,7 +232,7 @@ def _sectors(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     static = (np.isfinite(l0) & (l0 != 0)).any(axis=0)
     if dl0 is not None:
         static |= dl0 != 0
-    drive = ((lp != 0) | (lm != 0)).reshape(-1)
+    drive = (lp != 0).reshape(-1)
     kept = ~(flips @ static.reshape(-1)) & np.all(flips | ~drive, axis=1)
     if not kept.any():
         return np.arange(dim2), np.arange(dim2)
@@ -272,8 +273,8 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     (L0 + L(+1) T_1 + L(-1) S_1) rho_0 = 0 with its (1,1) row replaced by
     trace(rho_0) = 1. This is the truncated balance system solved exactly
     (Risken, The Fokker-Planck Equation, ch. 9). Only the S side is
-    solved: J(L0) = L0 and J(L(+1)) = L(-1) (``_mirror``; ``solve_batch``
-    checks both), and J is multiplicative, so T_n = J(S_n),
+    solved: J(L0) = L0 (``_mirror``; ``solve_batch`` checks it), L(-1) =
+    J(L(+1)) by construction and J is multiplicative, so T_n = J(S_n),
     L(+1) T_1 = J(L(-1) S_1) and rho_-n = P conj(rho_n) = rho_n^dagger.
 
     The recursion runs on the batch's parity ``sectors`` (``_sectors``). When
@@ -382,8 +383,8 @@ def _residual_errors(x: SectorHarmonics, l0, lp, lm,
     block there and L(+-1) from the other sector. The full system's other
     rows are exact zeros, since x_n is 0 off its sector and L0 and L(+-1)
     are 0 off the blocks ``_sectors`` chose them by, or, for n < 0,
-    J-mirrors of the rows read (``solve_batch`` checks J(L0) = L0 and
-    J(L(+1)) = L(-1) to 1e-13). ``_sectors`` ignores non-finite L0
+    J-mirrors of the rows read (``solve_batch`` checks J(L0) = L0 to 1e-13
+    and forms L(-1) = J(L(+1))). ``_sectors`` ignores non-finite L0
     entries, so a member with any fails here.
     """
     order, sectors = x.order, x.sectors
@@ -424,13 +425,14 @@ def _residual_errors(x: SectorHarmonics, l0, lp, lm,
     return errors
 
 
-def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
-                order: int, dl0: np.ndarray | None = None
+def solve_batch(l0: np.ndarray, lp: np.ndarray, delta: float, order: int,
+                dl0: np.ndarray | None = None
                 ) -> tuple[SectorHarmonics, dict[int, Exception], Callable | None]:
     """Periodic steady states of a batch of generators at one truncation order.
 
-    ``l0`` is a (batch, dim^2, dim^2) stack sharing the drive terms ``lp``
-    and ``lm``. Returns the harmonics n = 0 ... order on their parity
+    ``l0`` is a (batch, dim^2, dim^2) stack sharing the drive term ``lp`` =
+    L(+1); L(-1) = J(L(+1)) is formed from it, since rho(t) stays
+    Hermitian. Returns the harmonics n = 0 ... order on their parity
     sectors (``SectorHarmonics``; ``full()`` gives every harmonic), the
     failing members by index and the tangent pass, None without ``dl0``.
     The errors are DegenerateModelError when the constrained system is
@@ -439,21 +441,20 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
     ``tangent(members)`` returns d harmonics/dp of the given members, in
     the same form, when their L0 moves by
     dL0/dp = ``dl0``: the exact derivative of the truncated system, from
-    the continued fraction this solve formed. ValueError when J(L0) = L0,
-    J(L(+1)) = L(-1) or J(dL0) = dL0 fails beyond rounding
-    (``_continued_fraction``).
+    the continued fraction this solve formed. ValueError when J(L0) = L0
+    or J(dL0) = dL0 fails beyond rounding (``_continued_fraction``).
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    _require_mirror(l0, l0, "J(L0) = L0")
-    _require_mirror(lp, lm, "J(L(+1)) = L(-1)")
+    _require_mirror(l0, "J(L0) = L0")
     if dl0 is not None:
-        _require_mirror(dl0, dl0, "J(dL0) = dL0")
+        _require_mirror(dl0, "J(dL0) = dL0")
     dim = math.isqrt(l0.shape[1])
+    lm = _mirror(lp, _transposition(dim * dim))
     errors: dict[int, Exception] = {}
-    if not (np.any(lp) or np.any(lm)):
+    if not np.any(lp):
         diagonal = np.arange(dim) * (dim + 1)
         stationary = (np.abs(l0[:, :, diagonal]).max(axis=1) < 1e-30).sum(axis=1)
         for b in np.flatnonzero(stationary >= 2):
@@ -461,7 +462,7 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray, delta: float,
                 "steady state not unique: more than one decoupled stationary "
                 "population (probe, pump and couplings all off)")
 
-    sectors = _sectors(l0, lp, lm, dl0)
+    sectors = _sectors(l0, lp, dl0)
     x, tangent = _continued_fraction(l0, lp, lm, delta, order, dl0, sectors)
     for b, exc in _residual_errors(x, l0, lp, lm, delta).items():
         errors.setdefault(b, exc)
@@ -482,8 +483,7 @@ def solve_floquet(liouv: LiouvillianHarmonics, delta: float,
     the two ground populations decoupled) and SolverError when the solution
     violates the trace or population invariants.
     """
-    x, errors, _ = solve_batch(liouv.l0[None], liouv.l_plus, liouv.l_minus,
-                               delta, order)
+    x, errors, _ = solve_batch(liouv.l0[None], liouv.l_plus, delta, order)
     if errors:
         raise errors[0]
     return FloquetDensity(order=order, delta=delta, harmonics=x.full()[0])
@@ -519,26 +519,26 @@ def _member_bytes(dim2: int, order: int, tangent: bool) -> int:
 
 
 def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
-                          lp: np.ndarray, lm: np.ndarray, delta: float,
-                          orders, cap: int, dl0: np.ndarray | None = None
+                          lp: np.ndarray, delta: float, orders,
+                          dl0: np.ndarray | None = None
                           ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-    """Zeroth harmonics of a batch of generators sharing the drive terms,
-    each at the first truncation order whose harmonic tail passes.
+    """Zeroth harmonics of generators sharing L(+1) = ``lp`` (L(-1) is
+    derived), each at the first truncation order whose tail passes.
 
     ``l0_of(members)`` returns the (len(members), dim^2, dim^2) stack of the
     given member indices. Each member starts at its seed in ``orders`` and
-    raises its order n to max(n + 2, ceil(1.4 n)), at most ``cap``. Members
-    at the same order are solved together, in as few equal chunks as keep
-    at most CHUNK_BYTES live each (``_member_bytes``); only those whose
-    tail fails climb, also when ``solve_batch`` flags them below ``cap``
-    with finite harmonics.
+    raises its order n to max(n + 2, ceil(1.4 n)), at most MAX_ORDER.
+    Members at the same order are solved together, in as few equal chunks
+    as keep at most CHUNK_BYTES live each (``_member_bytes``); only those
+    whose tail fails climb, also when ``solve_batch`` flags them below
+    MAX_ORDER with finite harmonics.
     Returns rho_0, (1, batch, dim, dim), with ``dl0`` (dL0/dp of every
     member) stacked on d rho_0/dp, (2, batch, dim, dim), from one tangent
     pass per accepted chunk, counted in its storage; the accepted orders;
     and the failing members by index. A failing member has order 0 and NaN
-    rho_0; ConvergenceError marks a tail still failing at ``cap``.
+    rho_0; ConvergenceError marks a tail still failing at MAX_ORDER.
     """
-    orders = np.minimum(np.asarray(orders, dtype=int), cap)
+    orders = np.minimum(np.asarray(orders, dtype=int), MAX_ORDER)
     dim2 = lp.shape[0]
     dim = math.isqrt(dim2)
     rho0 = np.full((1 if dl0 is None else 2, orders.size, dim, dim), np.nan,
@@ -553,12 +553,12 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
             group = pending[orders[pending] == n]
             chunk = max(1, CHUNK_BYTES // _member_bytes(dim2, n, dl0 is not None))
             for members in np.array_split(group, -(-group.size // chunk)):
-                x, failed, tangent = solve_batch(l0_of(members), lp, lm, delta, n, dl0)
+                x, failed, tangent = solve_batch(l0_of(members), lp, delta, n, dl0)
                 ok = _tails_ok(x.harmonic(n), x.harmonic(0))
                 finite = np.all([np.isfinite(part).all(axis=(1, 2)) for part in x.parts],
                                 axis=0)
                 for b, exc in failed.items():
-                    if ok[b] or n >= cap or not finite[b]:
+                    if ok[b] or n >= MAX_ORDER or not finite[b]:
                         errors[int(members[b])] = exc
                     ok[b] = False
                 done = members[ok]
@@ -573,11 +573,11 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
                     member = int(members[b])
                     if member in errors:
                         continue
-                    if n >= cap:
+                    if n >= MAX_ORDER:
                         errors[member] = ConvergenceError(
                             f"harmonic tail not negligible at truncation order {n}")
                     else:
-                        orders[member] = min(cap, max(n + 2, math.ceil(1.4 * n)))
+                        orders[member] = min(MAX_ORDER, max(n + 2, math.ceil(1.4 * n)))
                         climbing.append(member)
         pending = np.array(sorted(climbing), dtype=int)
     return rho0, accepted, errors
@@ -590,7 +590,7 @@ def extract_dc_coherences(fd: FloquetDensity) -> tuple[complex, complex]:
 
 
 def choose_truncation(liouv: LiouvillianHarmonics, delta: float,
-                      tol: float = 1e-8, order_max: int = MAX_ORDER) -> int:
+                      tol: float = 1e-8, order_max: int = 25) -> int:
     """Smallest truncation order whose dc coherences are stable under order + 2.
 
     Walks the odd ladder 1, 3, 5, ... comparing the extracted (rho31, rho41)

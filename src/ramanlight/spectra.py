@@ -20,13 +20,12 @@ from . import constants as const
 from .atom import (AtomicSystem, DriveConfig, PumpModel, build_liouvillian,
                    detuning_generators, dissipator_superop,
                    hamiltonian_superop, ketbra, pump_generator, require_finite)
-from .floquet import MAX_ORDER, solve_converged_batch
+from .floquet import solve_converged_batch
 
 GAMMA3_RB87_D1 = 2.0 * math.pi * 5.75e6      # rad/s, natural linewidth of the line
 WAVELENGTH_RB87_D1 = 794.98e-9               # m
 MASS_RB87 = 86.909180531 * const.atomic_mass  # kg
 HERMITE_MAX_NODES = 370   # numpy's hermgauss weights underflow or overflow above
-DOPPLER_ORDER_CAP = 600   # truncation cap of a Doppler-shifted velocity class
 
 
 class BranchCutError(ValueError):
@@ -216,10 +215,10 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
 
     L0 is affine in the rate, d2 and the shift, so it is assembled once.
     Each member and velocity class climbs the ``solve_converged_batch``
-    ladder, up to MAX_ORDER (DOPPLER_ORDER_CAP in a Doppler average), from
-    its rate's base order: the top order the ladder settles at over the
-    centre and the two Raman resonances, found for all rates at once. chi
-    reads rho31 and rho41 of the zeroth harmonics the ladder returns.
+    ladder (L(-1) derived, one cap MAX_ORDER) from its rate's base order:
+    the top order the ladder settles at over the centre and the two Raman
+    resonances, found for all rates at once. chi reads rho31 and rho41 of
+    the zeroth harmonics the ladder returns.
     """
     if drive.omega_p == 0:
         raise ValueError("probe must be on: chi is defined relative to omega_p")
@@ -229,21 +228,19 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
     per_d2, per_shift = detuning_generators()
     s31, s41 = system.dipole_signs[0], system.dipole_signs[1]
 
-    def solve(k, d2, shift, orders, cap: int, with_tangent: bool):
+    def solve(k, d2, shift, orders, with_tangent: bool):
         return solve_converged_batch(
             lambda m: (l0s[k[m]] + d2[m, None, None] * per_d2
                        + shift[m, None, None] * per_shift),
-            liouv.l_plus, liouv.l_minus, drive.delta, orders, cap,
-            per_d2 if with_tangent else None)
+            liouv.l_plus, drive.delta, orders, per_d2 if with_tangent else None)
 
     anchors = np.tile([0.0, drive.delta, -drive.delta], rates.size)
     _, orders, errors = solve(np.repeat(np.arange(rates.size), 3), anchors,
                               np.zeros(anchors.size), np.ones(anchors.size, dtype=int),
-                              MAX_ORDER, False)
+                              False)
     if errors:
         raise errors[min(errors)]
     base = orders.reshape(rates.size, 3).max(axis=1)
-    cap = MAX_ORDER if doppler is None else DOPPLER_ORDER_CAP
 
     def values_of(k: np.ndarray, flat: np.ndarray, with_tangent: bool):
         point_errors: dict[int, Exception] = {}
@@ -251,7 +248,7 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
         def at_shifts(shifts: np.ndarray) -> np.ndarray:
             d2s, ss = np.broadcast_arrays(flat[:, None], shifts[None, :])
             rho0, _, errors = solve(np.repeat(k, shifts.size), d2s.ravel(), ss.ravel(),
-                                    np.repeat(base[k], shifts.size), cap, with_tangent)
+                                    np.repeat(base[k], shifts.size), with_tangent)
             for i in sorted(errors):
                 point_errors.setdefault(i // shifts.size, errors[i])
             values = (rho0[..., 2, 0] / (s31 * drive.omega_p)
@@ -424,10 +421,11 @@ def make_eit_evaluator(system: AtomicSystem, omega_c: float,
     beating pair. Takes a scalar or an array, and has a ``tangent``, like
     ``make_chi_evaluator``'s evaluators, from the same ladder. The
     generator is affine in the probe detuning (only the level shifts
-    -delta_p of |2> and |3> move), so it is assembled once. Without drive
-    terms every harmonic but the zeroth vanishes, so the ladder held at
-    order 1 (any positive frequency) solves L0 rho = 0 with trace(rho) = 1;
-    chi reads rho31 of the zeroth harmonics it returns.
+    -delta_p of |2> and |3> move), so it is assembled once. With L(+1) = 0
+    (so the derived L(-1) is 0 too) every harmonic but the zeroth
+    vanishes, so the ladder's order-1 tail passes, far below the one cap
+    MAX_ORDER, and its solve (any positive frequency) is L0 rho = 0 with
+    trace(rho) = 1; chi reads rho31 of the zeroth harmonics it returns.
     """
     if not (math.isfinite(omega_c) and math.isfinite(omega_p)):
         raise ValueError("EIT omega_c and omega_p must be finite")
@@ -439,8 +437,8 @@ def make_eit_evaluator(system: AtomicSystem, omega_c: float,
 
     def values_of(flat: np.ndarray, with_tangent: bool):
         rho0, _, errors = solve_converged_batch(
-            lambda m: l0 + flat[m, None, None] * per_delta_p, no_drive, no_drive,
-            1.0, np.ones(flat.size, dtype=int), 1, per_delta_p if with_tangent else None)
+            lambda m: l0 + flat[m, None, None] * per_delta_p, no_drive, 1.0,
+            np.ones(flat.size, dtype=int), per_delta_p if with_tangent else None)
         return rho0[..., 2, 0] / omega_p, errors
 
     return _evaluator(values_of)

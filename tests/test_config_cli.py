@@ -1,6 +1,8 @@
 """Configuration grammar, presets and the command-line entry point."""
 
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +160,25 @@ class TestParseConfig:
         config = parse_config("[scale]\nwavelength_m = 7.8e-7\n", preset("fig4"))
         assert config.scale == physical_scale(5e17, wavelength=7.8e-7)
 
+    @pytest.mark.parametrize("changed", [{"wavelength": 780e-9},
+                                         {"gamma3": 2.0 * math.pi * 6e6}])
+    def test_doppler_that_disagrees_with_the_scale_rejected(self, changed):
+        # fig6 over a 780 nm scale would otherwise average with the 795 nm
+        # width: sigma 38.28 gamma3 instead of 39.01
+        fig6 = preset("fig6")
+        scale = physical_scale(5e17, **changed)
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(fig6, scale=scale)
+        for value in (fig6.doppler.gamma3, fig6.doppler.wavevector,
+                      scale.gamma3, 2.0 * math.pi / scale.wavelength):
+            assert repr(value) in str(err.value)
+
+    def test_doppler_follows_a_parsed_scale(self):
+        config = parse_config("[scale]\nwavelength_m = 7.8e-7\n", preset("fig6"))
+        assert config.doppler.wavevector == 2.0 * math.pi / 7.8e-7
+        assert config.doppler.shift_sigma == pytest.approx(39.01, abs=0.005)
+        assert preset("fig6").doppler.shift_sigma == pytest.approx(38.28, abs=0.005)
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[drive]\nomega_c_gamma3 = fast\n")
@@ -226,7 +247,6 @@ class TestCli:
         config_path = tmp_path / "small.cfg"
         config_path.write_text(SMALL_SCAN)
         from ramanlight.config import load_config
-        import dataclasses
         config = dataclasses.replace(load_config(config_path), scenario="scan")
         report = run_scenario(config, tmp_path / "out")
         stored = tables.read_metrics_csv(tmp_path / "out" / "scan_metrics.csv")
@@ -282,6 +302,26 @@ class TestCli:
         assert done.returncode == 0
         assert "scenario" in done.stdout
         assert "RuntimeWarning" not in done.stderr
+
+    def test_strong_coupling_scan_succeeds(self, tmp_path):
+        # Omega_c = 150 gamma3 settles at truncation order 28
+        config_path = tmp_path / "strong.cfg"
+        config_path.write_text("[drive]\nomega_c_gamma3 = 150\n" + SMALL_SCAN)
+        assert main(["scan", "--config", str(config_path),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_run_figures_writes_a_command_with_its_defaults(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_figures.py"
+        done = subprocess.run([sys.executable, "-I", str(script), "--only", "scan",
+                               "--out", str(tmp_path / "figures")],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert main(["scan", "--out", str(tmp_path / "cli"), "--svg"]) == 0
+        names = sorted(path.name for path in (tmp_path / "figures").iterdir())
+        assert names == ["scan_metrics.csv", "scan_spectrum.csv", "scan_spectrum.svg"]
+        for name in names:
+            assert ((tmp_path / "figures" / name).read_bytes()
+                    == (tmp_path / "cli" / name).read_bytes())
 
     @pytest.mark.parametrize("script", ["run_figures.py", "compare_outputs.py"])
     def test_script_runs_from_checkout(self, script, tmp_path):

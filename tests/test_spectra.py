@@ -123,6 +123,17 @@ def accepted_orders(monkeypatch):
     return calls
 
 
+def test_strong_coupling_converges_below_the_cap(accepted_orders):
+    # Omega_c = 150 gamma3 needs truncation order 28 at the centre and the
+    # Raman resonances; the ladder's one cap leaves room for it
+    fig2c = preset("fig2c")
+    drive = replace(fig2c.drive, omega_c=150.0)
+    evaluator = make_chi_evaluator(fig2c.system, drive, fig2c.pump)
+    chi, dchi = evaluator.tangent(np.array([-0.2, 0.0, 0.2]))
+    assert np.isfinite(chi).all() and np.isfinite(dchi).all()
+    assert max(max(orders) for orders in accepted_orders) <= 28
+
+
 class TestAcceptedOrders:
     """The truncation each class or point settles at.
 
@@ -175,18 +186,18 @@ class TestLadderClimbsPastLowRungs:
 
     SHIFT = -70.08
 
-    def test_resonant_class_accepts_at_order_219_with_clean_invariants(self):
+    def test_resonant_class_accepts_at_order_219_with_clean_invariants(self, monkeypatch):
+        # pinned, so that the climb from 10 to 219 stays below the cap
+        monkeypatch.setattr(floquet, "MAX_ORDER", 600)
         fig6 = preset("fig6")
         liouv = build_liouvillian(fig6.system, fig6.drive, PumpModel.direct(0.0))
         l0 = (liouv.l0 + self.SHIFT * detuning_generators()[1])[None]
-        solve = partial(floquet.solve_batch, l0, liouv.l_plus, liouv.l_minus,
-                        fig6.drive.delta)
+        solve = partial(floquet.solve_batch, l0, liouv.l_plus, fig6.drive.delta)
         low, low_errors, _ = solve(20)
         assert isinstance(low_errors[0], floquet.SolverError)
         assert not floquet._tails_ok(low.harmonic(20), low.harmonic(0))[0]
         _, orders, errors = floquet.solve_converged_batch(
-            lambda m: l0[m], liouv.l_plus, liouv.l_minus, fig6.drive.delta, [10],
-            spectra.DOPPLER_ORDER_CAP)
+            lambda m: l0[m], liouv.l_plus, fig6.drive.delta, [10])
         assert not errors
         assert orders.tolist() == [219]
         assert solve(219)[1] == {}
@@ -223,10 +234,10 @@ class TestScan:
         grid = np.linspace(-0.4, 0.4, 17)
         solve = floquet.solve_batch
 
-        def spoiled(l0, lp, lm, delta, order, *args):
+        def spoiled(l0, lp, delta, order, *args):
             l0 = l0.copy()
             l0[l0[:, 4, 4].imag == grid[11]] = np.nan
-            return solve(l0, lp, lm, delta, order, *args)
+            return solve(l0, lp, delta, order, *args)
 
         evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
         monkeypatch.setattr(floquet, "solve_batch", spoiled)
@@ -285,9 +296,11 @@ class TestScan:
         def ladder(members):
             return floquet.solve_converged_batch(
                 lambda m: l0 + grid[members][m, None, None] * per_d2, liouv.l_plus,
-                liouv.l_minus, config.drive.delta, np.full(members.size, order),
-                order, per_d2 if tangent else None)
+                config.drive.delta, np.full(members.size, order),
+                per_d2 if tangent else None)
 
+        # capped at the order under test, so that every member stays in it
+        monkeypatch.setattr(floquet, "MAX_ORDER", order)
         ladder(np.arange(2))         # numpy's one-time allocations
         sizes = []
         solve = floquet.solve_batch
