@@ -60,7 +60,7 @@ def _pulse_band_grid(config: ScenarioConfig) -> np.ndarray:
 def _raman_evaluator(config: ScenarioConfig, pump: PumpModel):
     """The four-level medium's chi evaluator, Doppler-averaged when enabled."""
     return make_chi_evaluator(config.system, config.drive, pump,
-                              doppler=config.doppler)
+                              doppler=config.doppler, scale=config.scale)
 
 
 def _write_svg(path: Path, series, **chart) -> Path:

@@ -65,7 +65,7 @@ class GridSettings:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A scenario as the runners take it; ``doppler`` is None when off, and
-    otherwise shares the scale's gamma3 and probe wavevector."""
+    its shift width follows ``scale`` (``doppler.shift_sigma(scale)``)."""
 
     system: AtomicSystem = field(default_factory=AtomicSystem)
     drive: DriveConfig = field(default_factory=DriveConfig)
@@ -75,13 +75,6 @@ class ScenarioConfig:
     pulse: PulseSettings = field(default_factory=PulseSettings)
     grid: GridSettings = field(default_factory=GridSettings)
     scenario: str | None = None
-
-    def __post_init__(self):
-        d, s = self.doppler, self.scale
-        ours = (s.gamma3, 2.0 * math.pi / s.wavelength)
-        if d is not None and not all(map(math.isclose, (d.gamma3, d.wavevector), ours)):
-            raise ValueError(f"Doppler gamma3 and wavevector {(d.gamma3, d.wavevector)} "
-                             f"disagree with the scale's {ours}")
 
 
 _UNIT_SUFFIXES = ("_gamma3", "_rad_per_s", "_per_m3", "_kg", "_m", "_s", "_k")
@@ -193,8 +186,9 @@ def parse_config(text: str,
     """Overlay the keys the configuration text sets onto ``base``.
 
     [scale] keys rebuild the scale with ``physical_scale`` (default branch
-    fraction) from the base's four anchors; the Doppler shift scale follows
-    it. [doppler] keys are checked even when averaging stays off.
+    fraction) from the base's four anchors; the Doppler width follows it
+    (``shift_sigma(scale)``). [doppler] keys are checked even when
+    averaging stays off.
     """
     values: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
     last_line: dict[str, int] = {}
@@ -253,8 +247,7 @@ def parse_config(text: str,
     scale = s if not values["scale"] else overlay(
         "scale", physical_scale, density=s.density, length=s.length,
         wavelength=s.wavelength, gamma3=s.gamma3)
-    doppler = overlay("doppler", partial(replace, base.doppler or DopplerConfig()),
-                      gamma3=scale.gamma3, wavevector=2.0 * math.pi / scale.wavelength)
+    doppler = overlay("doppler", partial(replace, base.doppler or DopplerConfig()))
     return replace(base, **groups, scale=scale, doppler=doppler if enabled else None)
 
 

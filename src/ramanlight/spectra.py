@@ -116,29 +116,27 @@ class DopplerConfig:
 
     Every beam propagates along the same axis with (approximately) equal
     wavelengths, so a moving atom sees all one-photon detunings shifted by
-    the same -k v while two-photon detunings are untouched. ``gamma3``
-    converts the shift to simulation units.
+    the same -k v while two-photon detunings are untouched. The shift
+    width, ``shift_sigma(scale)``, takes k and gamma3 from the scale.
     """
 
     temperature: float = 320.0
     mass: float = MASS_RB87
-    wavevector: float = 2.0 * math.pi / WAVELENGTH_RB87_D1
     nodes: int = 64
-    gamma3: float = GAMMA3_RB87_D1
 
     def __post_init__(self):
         require_finite(self)
-        if min(self.temperature, self.mass, self.wavevector, self.gamma3) <= 0:
-            raise ValueError("temperature, mass, wavevector and gamma3 must be positive")
+        if min(self.temperature, self.mass) <= 0:
+            raise ValueError("temperature and mass must be positive")
         if not 8 <= self.nodes <= HERMITE_MAX_NODES:
             raise ValueError(
                 f"need between 8 and {HERMITE_MAX_NODES} quadrature nodes")
 
-    @property
-    def shift_sigma(self) -> float:
-        """Standard deviation of the one-photon shift, gamma3 units."""
+    def shift_sigma(self, scale: PhysicalScale) -> float:
+        """Standard deviation of the one-photon shift at ``scale``'s probe
+        wavelength, in its gamma3 units."""
         v_sigma = math.sqrt(const.k * self.temperature / self.mass)
-        return self.wavevector * v_sigma / self.gamma3
+        return 2.0 * math.pi / scale.wavelength * v_sigma / scale.gamma3
 
 
 @dataclass
@@ -208,10 +206,12 @@ def _evaluator(values_of: Callable) -> Callable:
 
 
 def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
-                  lindblad_form: bool, doppler: DopplerConfig | None) -> Callable:
+                  lindblad_form: bool, doppler: DopplerConfig | None,
+                  scale: PhysicalScale | None) -> Callable:
     """``values_of(k, d2, with_tangent)``: chi of the four-level medium at
     pump rate rates[k] and detuning d2 (its d2 derivative below it with
-    ``with_tangent``), Doppler-averaged if set, and the failing points.
+    ``with_tangent``), Doppler-averaged over ``scale``'s width if set, and
+    the failing points.
 
     L0 is affine in the rate, d2 and the shift, so it is assembled once.
     Each member and velocity class climbs the ``solve_converged_batch``
@@ -222,6 +222,8 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
     """
     if drive.omega_p == 0:
         raise ValueError("probe must be on: chi is defined relative to omega_p")
+    if doppler is not None and scale is None:
+        raise ValueError("a Doppler average needs the scale its shift width follows")
     liouv = build_liouvillian(system, drive.at_two_photon_detuning(0.0),
                               PumpModel.direct(0.0))
     l0s = liouv.l0 + rates[:, None, None] * pump_generator(lindblad_form)
@@ -257,14 +259,14 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
 
         if doppler is None:
             return at_shifts(np.zeros(1))[..., 0], point_errors
-        return doppler_average(at_shifts, doppler), point_errors
+        return doppler_average(at_shifts, doppler, scale), point_errors
 
     return values_of
 
 
 def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
-                       pump: PumpModel, doppler: DopplerConfig | None = None
-                       ) -> Callable:
+                       pump: PumpModel, doppler: DopplerConfig | None = None,
+                       scale: PhysicalScale | None = None) -> Callable:
     """Scaled susceptibility as a function of two-photon detuning.
 
     The evaluator takes a scalar detuning (and returns a complex) or an
@@ -278,9 +280,10 @@ def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
     The one-rate case of ``_raman_solver``: every point, and every velocity
     class of a DopplerConfig average (chi and its derivative on the same
     nodes), climbs the ladder from the base order, batch-independently.
+    The average's shift width follows ``scale``, which it requires.
     """
     values_of = _raman_solver(system, drive, np.array([pump.rate()]),
-                              pump.lindblad_form, doppler)
+                              pump.lindblad_form, doppler, scale)
     return _evaluator(lambda flat, with_tangent: values_of(
         np.zeros(flat.size, dtype=int), flat, with_tangent))
 
@@ -347,14 +350,15 @@ def group_index_at(system: AtomicSystem, drive: DriveConfig, pump: PumpModel,
                    scale: PhysicalScale, doppler: DopplerConfig | None = None,
                    delta2: float = 0.0) -> GroupIndexResult:
     """Group index at one operating point, from the evaluator's exact tangent."""
-    chi_s, dchi_s = make_chi_evaluator(system, drive, pump,
-                                       doppler=doppler).tangent(delta2)
+    chi_s, dchi_s = make_chi_evaluator(system, drive, pump, doppler=doppler,
+                                       scale=scale).tangent(delta2)
     return group_index(chi_s, dchi_s.real, scale)
 
 
 def doppler_average(evaluate_at_shift: Callable[[np.ndarray], np.ndarray],
-                    config: DopplerConfig) -> complex:
-    """Gauss-Hermite average over the one-photon Doppler shift.
+                    config: DopplerConfig, scale: PhysicalScale) -> complex:
+    """Gauss-Hermite average over the one-photon Doppler shift of width
+    ``config.shift_sigma(scale)``.
 
     ``evaluate_at_shift`` receives the one-photon shifts of all nodes as
     one array, in gamma3 units (the two-photon detuning is velocity
@@ -362,7 +366,7 @@ def doppler_average(evaluate_at_shift: Callable[[np.ndarray], np.ndarray],
     along its last axis; leading axes are averaged independently.
     """
     x, w = np.polynomial.hermite.hermgauss(config.nodes)
-    shifts = math.sqrt(2.0) * config.shift_sigma * x
+    shifts = math.sqrt(2.0) * config.shift_sigma(scale) * x
     values = np.asarray(evaluate_at_shift(shifts))
     values = np.broadcast_to(values, values.shape[:-1] + shifts.shape)
     total = 0.0 + 0.0j
@@ -385,7 +389,7 @@ def pump_sweep(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
     if rates.ndim != 1 or rates.size == 0 or not np.all(np.isfinite(rates)) \
             or np.any(rates < 0):
         raise ValueError("pump rates must be a non-empty 1-d array of finite rates >= 0")
-    values_of = _raman_solver(system, drive, rates, lindblad_form, doppler)
+    values_of = _raman_solver(system, drive, rates, lindblad_form, doppler, scale)
     (chi, dchi), errors = values_of(np.arange(rates.size), np.zeros(rates.size), True)
     if errors:
         raise errors[min(errors)]

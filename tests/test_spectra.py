@@ -155,7 +155,7 @@ class TestAcceptedOrders:
     def test_fig6_doppler_classes_at_zero_pump_and_detuning(self, accepted_orders):
         fig6 = preset("fig6")
         evaluator = make_chi_evaluator(fig6.system, fig6.drive, PumpModel.direct(0.0),
-                                       doppler=fig6.doppler)
+                                       doppler=fig6.doppler, scale=fig6.scale)
         accepted_orders.clear()      # drop the anchors' ladder
         evaluator(0.0)
         assert accepted_orders == [self.FIG6_CLASSES]
@@ -368,7 +368,7 @@ class TestScan:
     def test_doppler_value_independent_of_batch(self):
         config = DopplerConfig(nodes=16)
         evaluator = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0),
-                                       doppler=config)
+                                       doppler=config, scale=physical_scale(5e17))
         points = np.array([-0.002, -0.001, 0.0, 0.001, 0.002])
         batch = evaluator(points)
         for point, value in zip(points, batch):
@@ -437,7 +437,7 @@ class TestTangentSlope:
     def test_matches_richardson_on_fig6_doppler_point(self):
         fig6 = preset("fig6")
         evaluator = make_chi_evaluator(fig6.system, fig6.drive, PumpModel.direct(0.0),
-                                       doppler=fig6.doppler)
+                                       doppler=fig6.doppler, scale=fig6.scale)
         _, dchi = evaluator.tangent(0.0)
         assert dchi.real == pytest.approx(
             dispersion_slope(evaluator, 0.0, fig6.drive.delta / 200.0), rel=1e-7)
@@ -495,16 +495,43 @@ class TestGroupIndex:
 
 class TestDoppler:
     def test_shift_sigma_frozen_value(self):
-        config = DopplerConfig()
-        sigma_rad = config.shift_sigma * config.gamma3
+        config, scale = DopplerConfig(), physical_scale(5e17)
+        sigma_rad = config.shift_sigma(scale) * scale.gamma3
         assert sigma_rad == pytest.approx(DOPPLER_SIGMA_320K, rel=1e-9)
+        assert config.shift_sigma(scale) == pytest.approx(38.28, abs=0.005)
+
+    def test_classes_take_the_width_of_a_hand_built_scale(self, monkeypatch):
+        # a 780 nm scale with the default rule: the width is 39.01 gamma3,
+        # not the 38.28 of the 795 nm default line
+        fig6 = preset("fig6")
+        seen = []
+
+        def spy(evaluate_at_shift, config, scale):
+            def at_shifts(shifts):
+                seen.append(shifts)
+                return evaluate_at_shift(shifts)
+            return doppler_average(at_shifts, config, scale)
+
+        monkeypatch.setattr(spectra, "doppler_average", spy)
+        make_chi_evaluator(fig6.system, fig6.drive, PumpModel.direct(0.0),
+                           doppler=DopplerConfig(),
+                           scale=physical_scale(5e17, wavelength=780e-9))(0.0)
+        x, _ = np.polynomial.hermite.hermgauss(64)
+        (shifts,) = seen
+        sigma = shifts / (math.sqrt(2.0) * x)
+        assert sigma == pytest.approx(np.full(64, 39.01), abs=0.005)
+
+    def test_doppler_evaluator_needs_a_scale(self):
+        with pytest.raises(ValueError, match="scale"):
+            make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0),
+                               doppler=DopplerConfig())
 
     def test_quadrature_against_closed_form(self):
         # <e^{i a s}> over the Gaussian shift distribution = e^{-a^2 sigma^2/2}
-        config = DopplerConfig(temperature=320.0)
+        config, scale = DopplerConfig(temperature=320.0), physical_scale(5e17)
         a = 0.021
-        value = doppler_average(lambda s: np.exp(1j * a * s), config)
-        expected = math.exp(-a ** 2 * config.shift_sigma ** 2 / 2.0)
+        value = doppler_average(lambda s: np.exp(1j * a * s), config, scale)
+        expected = math.exp(-a ** 2 * config.shift_sigma(scale) ** 2 / 2.0)
         assert value.real == pytest.approx(expected, rel=1e-9)
         assert value.imag == pytest.approx(0.0, abs=1e-12)
 
@@ -513,7 +540,7 @@ class TestDoppler:
         # varying on the one-photon scale
         config = DopplerConfig(temperature=1.0)
         smooth = lambda s: 1.0 / (1.0 + ((s - 3.0) / 70.0) ** 2) + 0.2j
-        averaged = doppler_average(smooth, config)
+        averaged = doppler_average(smooth, config, physical_scale(5e17))
         assert abs(averaged - smooth(0.0)) <= 1e-3 * abs(smooth(0.0))
 
     def test_cold_limit_is_identity_on_physical_evaluator(self):
@@ -522,7 +549,7 @@ class TestDoppler:
         config = DopplerConfig(temperature=1e-5)
         stationary = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0))
         averaged = make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.0),
-                                      doppler=config)
+                                      doppler=config, scale=physical_scale(5e17))
         assert abs(averaged(0.1) - stationary(0.1)) <= 1e-3 * abs(stationary(0.1))
 
     def test_invalid_config(self):
@@ -533,8 +560,8 @@ class TestDoppler:
 
     def test_node_counts_beyond_hermgauss_rejected(self):
         # numpy's Gauss-Hermite weights stop summing to 1 above 370 nodes
-        assert doppler_average(lambda s: 1 + 0j,
-                               DopplerConfig(nodes=370)) == pytest.approx(1.0)
+        assert doppler_average(lambda s: 1 + 0j, DopplerConfig(nodes=370),
+                               physical_scale(5e17)) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             DopplerConfig(nodes=371)
 
