@@ -39,11 +39,19 @@ class RunReport:
     wall_time: float
 
 
+def _symmetric_grid(half: float, points: int) -> np.ndarray:
+    """``points`` detunings over [-half, half] with grid = -grid[::-1]
+    exactly, as numpy's hermgauss symmetrises its nodes: each point and its
+    mirror share one solve, and an odd grid's midpoint is 0.0."""
+    grid = np.linspace(-half, half, points)
+    return (grid - grid[::-1]) / 2.0
+
+
 def _scan_grid(config: ScenarioConfig) -> np.ndarray:
     half = config.grid.half_width
     if half is None:
         half = 5.0 * config.drive.delta
-    return np.linspace(-half, half, config.grid.points)
+    return _symmetric_grid(half, config.grid.points)
 
 
 def _pulse_half_width(config: ScenarioConfig) -> float:
@@ -53,8 +61,7 @@ def _pulse_half_width(config: ScenarioConfig) -> float:
 
 
 def _pulse_band_grid(config: ScenarioConfig) -> np.ndarray:
-    half = _pulse_half_width(config)
-    return np.linspace(-half, half, config.grid.points)
+    return _symmetric_grid(_pulse_half_width(config), config.grid.points)
 
 
 def _raman_evaluator(config: ScenarioConfig, pump: PumpModel):
@@ -150,7 +157,7 @@ def _run_fig4(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
         for key, value in numbers.items():
             headline[f"{key}_{tag}"] = value
         if tag == "pump_off":
-            window_spec = scan_evaluator(evaluator, np.linspace(-0.4, 0.4, 1201))
+            window_spec = scan_evaluator(evaluator, _symmetric_grid(0.4, 1201))
             headline["transmission_window_rad_per_s"] = \
                 transmission_window_fwhm(window_spec, config.scale)
     files.append(tables.write_pulse_csv(out / "fig4_pulse_reference.csv", reference))

@@ -18,6 +18,9 @@ split serves the whole batch; without such a parity it is every entry.
 The solve keeps rho_n for n >= 0 only, each on its own sector
 (``SectorHarmonics``), and expands the full harmonics on request. The
 ladder raises each member's order up to the one cap MAX_ORDER.
+``level_mirror`` finds a signed level permutation that, with complex
+conjugation, maps the system of one generator exactly onto another's,
+so that a caller can solve each such pair once.
 
 An independent oracle integrates the master equation with a fixed-step RK4
 scheme: the one-period propagator and the period-average operator are built
@@ -27,6 +30,8 @@ matrix settles.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -43,7 +48,7 @@ MAX_ORDER = 600
 # member L0, its sector blocks and the zeroth-harmonic matrix. tracemalloc
 # puts the peak of a chunk, the residual and invariant checks' temporaries
 # included, at 1.0 to 1.3 times this count. At 1152 KiB a fig6 Doppler
-# point at R = 0 solves its rungs in 28 ``solve_batch`` calls
+# point at R = 0 solves its rungs in 19 ``solve_batch`` calls
 CHUNK_BYTES = 1152 * 2 ** 10
 COMPLEX_BYTES = 16
 
@@ -215,6 +220,57 @@ def _level_parities(dim: int) -> np.ndarray:
     return (u[:, :, None] * u[:, None, :]).reshape(codes.size, dim * dim)
 
 
+@functools.lru_cache(maxsize=None)
+def _level_maps(dim: int) -> tuple[np.ndarray, ...]:
+    """The level permutations pi, (dim!, dim), and sign patterns s, s_0 = 1
+    (X and -X act alike), (2^(dim-1), dim), of X = sum_i s_i |i><pi_i|, with
+    the index map of each pi and the sign of each s that X (x) X gives
+    vec(rho), vec(X rho X^T)[a] = sign[a] vec(rho)[index[a]], and the
+    sign's outer products: (dim!, dim^2), (2^(dim-1), dim^2, dim^2)."""
+    perms = np.array(list(itertools.permutations(range(dim))))
+    codes = 2 * np.arange(2 ** (dim - 1))      # bit i set: s_i = -1, so s_0 = 1
+    signs = 1 - 2 * ((codes[:, None] >> np.arange(dim)) & 1)
+    index = (perms[:, :, None] * dim + perms[:, None, :]).reshape(perms.shape[0], -1)
+    sign = (signs[:, :, None] * signs[:, None, :]).reshape(signs.shape[0], -1)
+    maps = perms, signs, index, sign[:, :, None] * sign[:, None, :]
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
+def level_mirror(kept: list, flipped: list,
+                 lp: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """A signed level permutation X, as (pi, s) with (X rho X^T)[i, j] =
+    s_i s_j rho[pi_i, pi_j], whose antiunitary map M -> Pi conj(M) Pi^T,
+    Pi = X (x) X, keeps every generator in ``kept``, negates every one in
+    ``flipped`` and maps L(+1) = ``lp`` onto L(-1) = J(L(+1)), exactly; None
+    when there is none.
+
+    Conjugating the balance equations then maps the truncated system of
+    L0 = sum_k c_k K_k + sum_k f_k F_k at any order onto that of
+    sum_k c_k K_k - sum_k f_k F_k: rho_n -> X rho_n^T X^T, so rho_0 ->
+    X conj(rho_0) X^T, and the derivative along an F_k picks up a minus
+    sign. The candidates are sifted on the sum of the matrices, the
+    permutations on its diagonal (where the signs cancel), then the signs
+    on the whole: conjugation, index maps and signs are exact, so a map
+    that holds for every matrix holds bitwise for their sum.
+    """
+    dim2 = lp.shape[0]
+    perms, signs, index, sign2 = _level_maps(math.isqrt(dim2))
+    mats = np.stack([*kept, *flipped, lp])
+    targets = np.stack([*kept, *(-m for m in flipped),
+                        _mirror(lp, _transposition(dim2))])
+    total, target = mats.sum(axis=0), targets.sum(axis=0)
+    diagonal = (np.diagonal(total)[index].conj() == np.diagonal(target)).all(axis=1)
+    for p in np.flatnonzero(diagonal):
+        i = index[p]
+        on_sum = (total[i[:, None], i].conj() * sign2 == target).all(axis=(1, 2))
+        for q in np.flatnonzero(on_sum):
+            if np.array_equal(mats[:, i[:, None], i].conj() * sign2[q], targets):
+                return perms[p], signs[q]
+    return None
+
+
 def _sectors(l0: np.ndarray, lp: np.ndarray,
              dl0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The (even, odd) split of vec(rho) indices that a whole batch shares.
@@ -240,9 +296,10 @@ def _sectors(l0: np.ndarray, lp: np.ndarray,
     return np.flatnonzero(u > 0), np.flatnonzero(u < 0)
 
 
-def _fraction_blocks(blocks, lm_blocks, delta: float, s: list):
+def _fraction_blocks(blocks, lm_blocks, delta: float, s: list,
+                     members=slice(None)):
     """A_n = L0 - i n delta + L(-1) S_{n+1} for n = order ... 1, on the
-    sector of n's parity.
+    sector of n's parity, for the given ``members`` of the batch.
 
     Yields (n, A_n). ``blocks`` holds L0 on the even and on the odd sector
     for the members that ``s`` covers, ``lm_blocks`` L(-1) into each
@@ -252,9 +309,9 @@ def _fraction_blocks(blocks, lm_blocks, delta: float, s: list):
     eyes = [np.eye(b.shape[-1]) for b in blocks]
     order = len(s)
     for n in range(order, 0, -1):
-        a = blocks[n % 2] - (1j * n * delta) * eyes[n % 2]
+        a = blocks[n % 2][members] - (1j * n * delta) * eyes[n % 2]
         if n < order:
-            a += lm_blocks[n % 2] @ s[n]
+            a += lm_blocks[n % 2] @ s[n][members]
         yield n, a
 
 
@@ -350,26 +407,26 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
         A_n, S_n and m0 are those formed above; J(dl0) = dl0 gives
         h_n = P conj(g_n) and y_-n = P conj(y_n). The sectors keep dl0, so
         y lives in them too. Returns y of the members, as x is returned.
+        The members are picked per harmonic: a copy of a strict subset's
+        S_n would take as much again as the chunk's own.
         """
         if np.array_equal(members, np.arange(m0.shape[0])):
-            xs, s_of, blocks_of, m0_of = x.parts, s, blocks, m0
-        else:
-            xs, s_of = [part[members] for part in x.parts], [t[members] for t in s]
-            blocks_of, m0_of = [b[members] for b in blocks], m0[members]
+            members = slice(None)
+        xs = x.parts
         # g_n, from n = order down
         g: list = [None] * order
-        for n, a in _fraction_blocks(blocks_of, lm_blocks, delta, s_of):
-            r = -(dl0_blocks[n % 2] @ xs[n % 2][:, n // 2, :, None])
+        for n, a in _fraction_blocks(blocks, lm_blocks, delta, s, members):
+            r = -(dl0_blocks[n % 2] @ xs[n % 2][members, n // 2, :, None])
             if n < order:
                 r -= lm_blocks[n % 2] @ g[n]
             g[n - 1] = _solve_stack(a, r)
 
         closing = lm_blocks[0] @ g[0]
-        b0 = (-(dl0_blocks[0] @ xs[0][:, 0, :, None]) - closing
+        b0 = (-(dl0_blocks[0] @ xs[0][members, 0, :, None]) - closing
               - closing[:, perm_even].conj())
         b0[:, 0] = 0.0
-        return harmonics(_solve_stack(m0_of, b0),
-                         lambda n, prev: g[n - 1] + s_of[n - 1] @ prev)
+        return harmonics(_solve_stack(m0[members], b0),
+                         lambda n, prev: g[n - 1] + s[n - 1][members] @ prev)
 
     return x, tangent
 

@@ -20,7 +20,7 @@ from . import constants as const
 from .atom import (AtomicSystem, DriveConfig, PumpModel, build_liouvillian,
                    detuning_generators, dissipator_superop,
                    hamiltonian_superop, ketbra, pump_generator, require_finite)
-from .floquet import solve_converged_batch
+from .floquet import level_mirror, solve_converged_batch
 
 GAMMA3_RB87_D1 = 2.0 * math.pi * 5.75e6      # rad/s, natural linewidth of the line
 WAVELENGTH_RB87_D1 = 794.98e-9               # m
@@ -219,6 +219,16 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
     the top order the ladder settles at over the centre and the two Raman
     resonances, found for all rates at once. chi reads rho31 and rho41 of
     the zeroth harmonics the ladder returns.
+
+    When the couplings sit halfway between |3> and |4> (omega43 = 2
+    delta_c) and the doublet decays symmetrically, ``level_mirror`` finds
+    the X (|3> <-> |4>, |2> -> -|2>) that maps member (k, d2, s) onto
+    (k, -d2, -s) exactly: rho_0 -> X conj(rho_0) X^T and d rho_0/d d2 ->
+    -X conj(d rho_0/d d2) X^T, so chi -> -conj(chi) and its derivative ->
+    conj. Every member with d2 < 0, or d2 = 0 and s < 0, is then solved as
+    its mirror, whether or not that is in the batch, so a point's value
+    does not depend on its batch; a mirror pair shares one solve, its
+    accepted order and its error. Without X every member is solved as it is.
     """
     if drive.omega_p == 0:
         raise ValueError("probe must be on: chi is defined relative to omega_p")
@@ -226,15 +236,32 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
         raise ValueError("a Doppler average needs the scale its shift width follows")
     liouv = build_liouvillian(system, drive.at_two_photon_detuning(0.0),
                               PumpModel.direct(0.0))
-    l0s = liouv.l0 + rates[:, None, None] * pump_generator(lindblad_form)
+    pump = pump_generator(lindblad_form)
+    l0s = liouv.l0 + rates[:, None, None] * pump
     per_d2, per_shift = detuning_generators()
     s31, s41 = system.dipole_signs[0], system.dipole_signs[1]
+    mirror = level_mirror([liouv.l0, pump], [per_d2, per_shift], liouv.l_plus)
 
     def solve(k, d2, shift, orders, with_tangent: bool):
-        return solve_converged_batch(
+        flip = ((d2 < 0) | ((d2 == 0) & (shift < 0))) & (mirror is not None)
+        sign = np.where(flip, -1.0, 1.0)
+        d2, shift = sign * d2, sign * shift
+        # + 0.0 makes -0.0 match 0.0; exact duplicates share a solve too
+        _, first, inverse = np.unique(np.column_stack((k, d2 + 0.0, shift + 0.0)),
+                                      axis=0, return_index=True, return_inverse=True)
+        k, d2, shift = k[first], d2[first], shift[first]
+        rho0, accepted, errors = solve_converged_batch(
             lambda m: (l0s[k[m]] + d2[m, None, None] * per_d2
                        + shift[m, None, None] * per_shift),
-            liouv.l_plus, drive.delta, orders, per_d2 if with_tangent else None)
+            liouv.l_plus, drive.delta, orders[first], per_d2 if with_tangent else None)
+        rho0, accepted = rho0[:, inverse], accepted[inverse]
+        if flip.any():
+            levels, signs = mirror
+            rho0[:, flip] = (rho0[:, flip][..., levels[:, None], levels].conj()
+                             * np.outer(signs, signs))
+            rho0[1:, flip] *= -1.0       # d/d(d2) of the mirror runs the other way
+        failing = np.flatnonzero(np.isin(inverse, list(errors)))
+        return rho0, accepted, {int(i): errors[inverse[i]] for i in failing}
 
     anchors = np.tile([0.0, drive.delta, -drive.delta], rates.size)
     _, orders, errors = solve(np.repeat(np.arange(rates.size), 3), anchors,
@@ -280,7 +307,10 @@ def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
     The one-rate case of ``_raman_solver``: every point, and every velocity
     class of a DopplerConfig average (chi and its derivative on the same
     nodes), climbs the ladder from the base order, batch-independently.
-    The average's shift width follows ``scale``, which it requires.
+    The average's shift width follows ``scale``, which it requires. In a
+    mirror-symmetric medium (``_raman_solver``) a point or class at -d2,
+    -s is read off the solve at d2, s, so chi(-d2) = -conj(chi(d2)) on a
+    symmetric rule, and a failing point fails with its mirror.
     """
     values_of = _raman_solver(system, drive, np.array([pump.rate()]),
                               pump.lindblad_form, doppler, scale)

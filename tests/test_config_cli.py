@@ -385,6 +385,31 @@ class TestPulseRunnerScans:
         assert len(calls) == scans
 
 
+class TestDetuningGrids:
+    """Every detuning grid is exactly antisymmetric, so each point and its
+    mirror share one solve and an odd grid's midpoint is 0.0."""
+
+    @pytest.mark.parametrize("points", [1, 2, 201, 2001])
+    def test_scan_and_pulse_band_grids(self, points):
+        config = preset("fig2a")
+        config = dataclasses.replace(config, grid=dataclasses.replace(config.grid,
+                                                                      points=points))
+        for grid in (cli._scan_grid(config), cli._pulse_band_grid(config)):
+            assert grid.size == points
+            assert np.array_equal(grid, -grid[::-1])
+
+    def test_fig4_scans_with_its_window(self, tmp_path, monkeypatch):
+        grids = []
+        scan = cli.scan_evaluator
+        monkeypatch.setattr(cli, "scan_evaluator",
+                            lambda evaluator, grid: grids.append(grid) or scan(evaluator, grid))
+        run_scenario(preset("fig4"), tmp_path)
+        assert [grid.size for grid in grids] == [2001, 1201, 2001]
+        for grid in grids:
+            assert np.array_equal(grid, -grid[::-1])
+            assert grid[grid.size // 2] == 0.0
+
+
 class TestFig5Scenario:
     def test_pump_off_overlay_runs_one_raman_case(self, tmp_path):
         config_path = tmp_path / "pump_off.cfg"

@@ -10,7 +10,7 @@ import scipy.linalg
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian,
                              detuning_generators, dissipator_superop,
-                             hamiltonian_superop, ketbra)
+                             hamiltonian_superop, ketbra, pump_generator)
 from ramanlight import floquet
 from ramanlight.config import PRESETS, preset
 from ramanlight.spectra import _eit_liouvillian
@@ -283,6 +283,48 @@ class TestParitySectors:
         for b, liouv in enumerate(models):
             assert_harmonics_close(harmonics[b], dense_harmonics(liouv, 0.2, 10), 1e-12)
             assert_harmonics_close(y[b], dense_tangent(liouv, 0.2, 10, per_d2), 1e-10)
+
+
+class TestLevelMirror:
+    """Complex conjugation with X: |3> <-> |4>, |2> -> -|2> maps member
+    (d2, s) onto (-d2, -s) when the couplings sit halfway between |3> and
+    |4> and the doublet decays symmetrically."""
+
+    @staticmethod
+    def mirror(system, drive, lindblad_form=False):
+        liouv = build_liouvillian(system, drive.at_two_photon_detuning(0.0),
+                                  PumpModel.direct(0.0))
+        return floquet.level_mirror([liouv.l0, pump_generator(lindblad_form)],
+                                    list(detuning_generators()), liouv.l_plus)
+
+    @pytest.mark.parametrize("lindblad_form", [False, True])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_has_the_doublet_mirror(self, name, lindblad_form):
+        config = preset(name)
+        levels, signs = self.mirror(config.system, config.drive, lindblad_form)
+        assert levels.tolist() == [0, 1, 3, 2]
+        assert signs.tolist() == [1, -1, 1, 1]
+
+    @pytest.mark.parametrize("change", [{"omega43": 150.0}, {"gamma41": 0.6}])
+    def test_asymmetric_doublet_has_none(self, change):
+        assert self.mirror(replace(SYSTEM, **change), PAPER_DRIVE) is None
+
+    def test_mirror_maps_every_harmonic_of_the_truncated_system(self):
+        # rho_n of (-d2, -s) is X rho_n^T X^T of (d2, s) at the same order,
+        # and the d2 tangent of rho_0 changes sign
+        levels, signs = self.mirror(SYSTEM, PAPER_DRIVE)
+        x = np.eye(4)[levels] * signs[:, None]
+        liouv = build_liouvillian(SYSTEM, PAPER_DRIVE, PumpModel.direct(0.2))
+        per_d2, per_shift = detuning_generators()
+        l0 = np.stack([liouv.l0 + sign * (0.13 * per_d2 - 31.0 * per_shift)
+                       for sign in (1.0, -1.0)])
+        rho, errors, tangent = solve_batch(l0, liouv.l_plus, PAPER_DRIVE.delta, 20, per_d2)
+        assert not errors
+        full, dfull = rho.full(), tangent(np.arange(2)).full()
+        mapped = x @ np.swapaxes(full[0], 1, 2) @ x.T
+        assert np.allclose(full[1], mapped, rtol=0, atol=1e-12 * np.abs(full).max())
+        assert np.allclose(dfull[1, 20], -x @ dfull[0, 20].conj() @ x.T,
+                           rtol=0, atol=1e-12 * np.abs(dfull).max())
 
 
 class TestMirrorPrecondition:

@@ -15,7 +15,7 @@ from ramanlight.cli import _pulse_band_grid, _raman_evaluator
 from ramanlight.config import ScenarioConfig, preset
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian, detuning_generators,
-                             hamiltonian_superop)
+                             hamiltonian_superop, pump_generator)
 from ramanlight.floquet import extract_dc_coherences, solve_floquet
 from ramanlight.spectra import (BranchCutError, DopplerConfig, ScanError,
                                 SusceptibilitySpectrum,
@@ -142,6 +142,8 @@ class TestAcceptedOrders:
     order 428 and accepted there. The fig4 scan was recorded before the
     n < 0 side of the continued fraction was mirrored from n > 0, and the
     pump sweep's base orders before its rates were solved as one batch.
+    Since mirror pairs (d2, s) and (-d2, -s) share one solve, the ladder
+    sees only the member with d2 > 0, or d2 = 0 and s >= 0, of each pair.
     """
 
     FIG6_CLASSES = [
@@ -158,25 +160,116 @@ class TestAcceptedOrders:
                                        doppler=fig6.doppler, scale=fig6.scale)
         accepted_orders.clear()      # drop the anchors' ladder
         evaluator(0.0)
-        assert accepted_orders == [self.FIG6_CLASSES]
+        # the classes with s > 0; those with s < 0 are their mirrors
+        assert accepted_orders == [self.FIG6_CLASSES[32:]]
+
+    def test_fig6_classes_below_zero_shift_solved_directly(self):
+        # the mirror images accept at the mirrored orders
+        fig6 = preset("fig6")
+        liouv = build_liouvillian(fig6.system, fig6.drive.at_two_photon_detuning(0.0),
+                                  PumpModel.direct(0.0))
+        nodes, _ = np.polynomial.hermite.hermgauss(fig6.doppler.nodes)
+        shifts = math.sqrt(2.0) * fig6.doppler.shift_sigma(fig6.scale) * nodes[:32]
+        per_shift = detuning_generators()[1]
+        _, orders, errors = floquet.solve_converged_batch(
+            lambda m: liouv.l0 + shifts[m, None, None] * per_shift,
+            liouv.l_plus, fig6.drive.delta, np.full(32, 10))
+        assert not errors
+        assert orders.tolist() == self.FIG6_CLASSES[:32]
 
     def test_fig4_pump_on_scan(self, accepted_orders):
         fig4 = preset("fig4")
         evaluator = _raman_evaluator(fig4, fig4.pump)
         accepted_orders.clear()
         evaluator(_pulse_band_grid(fig4))
+        # the 2001-point grid is antisymmetric: its centre and 1000 mirror pairs
         assert [collections.Counter(orders) for orders in accepted_orders] == [
-            {14: 2001}]
+            {14: 1001}]
 
     def test_pump_sweep_base_order_per_rate(self, accepted_orders):
-        # one anchor ladder over all 15 rates, then one tangent ladder whose
-        # centres accept at their rate's base order
+        # one anchor ladder over all 15 rates (the centre and one Raman
+        # resonance each: -delta is the mirror of +delta), then one tangent
+        # ladder whose centres accept at their rate's base order
         fig6 = preset("fig6")
         pump_sweep(fig6.system, fig6.drive, np.linspace(0.0, 0.5, 15),
                    physical_scale(5e17))
         anchors, centres = accepted_orders
-        assert np.reshape(anchors, (15, 3)).max(axis=1).tolist() == self.PUMP_SWEEP_BASES
+        assert np.reshape(anchors, (15, 2)).max(axis=1).tolist() == self.PUMP_SWEEP_BASES
         assert centres == self.PUMP_SWEEP_BASES
+
+
+def per_member(system, drive, rate, d2s, shifts):
+    """chi and d chi/d d2 of each member (d2s[i], shifts[i]) by its own
+    ladder from the base order of the anchors 0, +-delta, as a solver
+    without the mirror makes them, bit for bit."""
+    liouv = build_liouvillian(system, drive.at_two_photon_detuning(0.0),
+                              PumpModel.direct(0.0))
+    l0 = liouv.l0 + rate * pump_generator(False)
+    per_d2, per_shift = detuning_generators()
+
+    def ladder(d2, shift, order, tangent):
+        return floquet.solve_converged_batch(
+            lambda m: (l0 + np.atleast_1d(d2)[m, None, None] * per_d2
+                       + np.atleast_1d(shift)[m, None, None] * per_shift),
+            liouv.l_plus, drive.delta, np.atleast_1d(order),
+            per_d2 if tangent else None)
+
+    anchors = np.array([0.0, drive.delta, -drive.delta])
+    base = ladder(anchors, np.zeros(3), np.ones(3, dtype=int), False)[1].max()
+    s31, s41 = system.dipole_signs[:2]
+    values = []
+    for d2, shift in zip(d2s, shifts):
+        rho0, _, errors = ladder(d2, shift, base, True)
+        assert not errors
+        values.append(rho0[:, 0, 2, 0] / (s31 * drive.omega_p)
+                      + rho0[:, 0, 3, 0] / (s41 * drive.omega_p))
+    return np.array(values).T
+
+
+class TestMirrorPairs:
+    """A member with d2 < 0, or d2 = 0 and s < 0, is read off the solve of
+    its mirror (-d2, -s): chi -> -conj(chi), d chi/d d2 -> conj."""
+
+    @pytest.mark.parametrize("change", [{"omega43": 150.0}, {"gamma41": 0.6}])
+    def test_without_the_mirror_every_member_is_solved_as_it_is(self, change):
+        system = replace(SYSTEM, **change)
+        grid = np.array([-0.3, -0.2, -0.05, 0.0, 0.05, 0.2, 0.3])
+        chi, dchi = make_chi_evaluator(system, FIG2C, PumpModel.direct(0.1)).tangent(grid)
+        expected = per_member(system, FIG2C, 0.1, grid, np.zeros(grid.size))
+        assert np.array_equal(chi, expected[0])
+        assert np.array_equal(dchi, expected[1])
+
+    def test_mapped_fig4_point_matches_its_own_solve(self):
+        fig4 = preset("fig4")
+        point = _pulse_band_grid(fig4)[700]
+        assert point < 0
+        mapped = make_chi_evaluator(fig4.system, fig4.drive, fig4.pump).tangent(point)
+        direct = per_member(fig4.system, fig4.drive, fig4.pump.rate(), [point], [0.0])
+        for value, own in zip(mapped, direct[:, 0]):
+            assert abs(value - own) <= 1e-11 * abs(own)
+
+    def test_mapped_fig6_classes_match_their_own_solves(self, monkeypatch):
+        # at d2 < 0 every class is read off its mirror; take the class
+        # values of one Doppler point before the average sums them
+        fig6 = preset("fig6")
+        classes = []
+        average = spectra.doppler_average
+
+        def keeping(at_shifts, config, scale):
+            def kept(shifts):
+                classes.append((shifts, at_shifts(shifts)))
+                return classes[-1][1]
+            return average(kept, config, scale)
+
+        monkeypatch.setattr(spectra, "doppler_average", keeping)
+        make_chi_evaluator(fig6.system, fig6.drive, PumpModel.direct(0.0),
+                           doppler=fig6.doppler, scale=fig6.scale).tangent(-0.05)
+        (shifts, values), = classes
+        picked = [20, 27, 40]        # s < 0 up to order 219, and s > 0
+        direct = per_member(fig6.system, fig6.drive, 0.0, [-0.05] * len(picked),
+                            shifts[picked])
+        mapped = values[:, 0, picked]
+        assert np.all(np.abs(mapped - direct) <= 1e-11 * np.abs(direct))
 
 
 class TestLadderClimbsPastLowRungs:
@@ -230,8 +323,10 @@ class TestScan:
 
     def test_only_the_degenerate_point_is_reported(self, monkeypatch):
         # Im L0 at the rho21 diagonal entry is the two-photon detuning:
-        # spoil the one member solved at d2 = grid[11], wherever it is batched
+        # spoil the one member solved at d2 = grid[11], wherever it is
+        # batched; it also serves grid[5] = -grid[11], its mirror
         grid = np.linspace(-0.4, 0.4, 17)
+        assert grid[5] == -grid[11]
         solve = floquet.solve_batch
 
         def spoiled(l0, lp, delta, order, *args):
@@ -243,10 +338,12 @@ class TestScan:
         monkeypatch.setattr(floquet, "solve_batch", spoiled)
         with pytest.raises(ScanError) as err:
             scan_evaluator(evaluator, grid)
-        assert [point for point, _ in err.value.failures] == [grid[11]]
-        assert isinstance(err.value.failures[0][1], DegenerateModelError)
-        with pytest.raises(DegenerateModelError):
-            evaluator(grid[11])
+        assert [point for point, _ in err.value.failures] == [grid[5], grid[11]]
+        for _, error in err.value.failures:
+            assert isinstance(error, DegenerateModelError)
+        for point in (grid[5], grid[11]):
+            with pytest.raises(DegenerateModelError):
+                evaluator(point)
         assert np.isfinite(evaluator(grid[10]))
 
     def test_point_independent_of_batch_and_chunk(self, monkeypatch):
@@ -283,8 +380,7 @@ class TestScan:
     def test_chunk_keeps_its_budget_live(self, monkeypatch, name, order, shift,
                                          span, points, tangent):
         # over what the ladder returns, tracemalloc measures 1.3 CHUNK_BYTES
-        # at order 10 and 1.0 at order 111 with the tangent (1.6 when the
-        # tangent copies its chunk's S_n for the members that pass)
+        # at order 10 and 1.0 at order 111 with the tangent
         points = points or 2 * (floquet.CHUNK_BYTES
                                 // floquet._member_bytes(16, order, tangent))
         config = preset(name)
@@ -321,6 +417,34 @@ class TestScan:
         assert len(sizes) > 1 and min(sizes) > 1
         assert max(sizes) - min(sizes) <= 1
 
+    def test_tangent_of_the_passing_members_keeps_the_budget(self, monkeypatch):
+        # a chunk of seven fig6 classes at order 111 in which the class at
+        # d2 = -0.846 fails its tail: the tangent of the six that pass reads
+        # their S_n in place (1.58 CHUNK_BYTES when it copied them; 0.98
+        # measured now, as when all seven pass)
+        fig6 = preset("fig6")
+        liouv = build_liouvillian(fig6.system, fig6.drive, PumpModel.direct(0.0))
+        per_d2, per_shift = detuning_generators()
+        grid = np.linspace(-1.0, 1.0, 14)[:7]
+        assert floquet.CHUNK_BYTES // floquet._member_bytes(16, 111, True) == 7
+        l0 = liouv.l0 + 112.9 * per_shift
+
+        def ladder(members):
+            return floquet.solve_converged_batch(
+                lambda m: l0 + grid[members][m, None, None] * per_d2, liouv.l_plus,
+                fig6.drive.delta, np.full(members.size, 111), per_d2)
+
+        monkeypatch.setattr(floquet, "MAX_ORDER", 111)   # no climb past the chunk
+        ladder(np.arange(2))         # numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            _, orders, errors = ladder(np.arange(7))
+            returned, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(errors) == [1] and orders.tolist() == [111, 0] + [111] * 5
+        assert peak - returned <= 1.1 * floquet.CHUNK_BYTES
+
     def test_sectors_found_once_per_solve(self, monkeypatch):
         # the ladder sizes its chunks from dim alone, not from the sectors
         fig4 = preset("fig4")
@@ -344,7 +468,9 @@ class TestScan:
     def test_fig6_doppler_point_solves_whole_rungs(self, monkeypatch):
         # 64 classes climb to order 219 from the base rung: a few chunks per
         # rung, not one or two classes per solve (86 calls with those, 37
-        # with full-size harmonics). Measured: 28 calls, 2907 stacked solves
+        # with full-size harmonics), and the 32 classes with s < 0 are the
+        # mirrors of those with s > 0 (28 calls and 2907 stacked solves
+        # when each was solved). Measured: 19 calls, 1861 stacked solves
         fig6 = preset("fig6")
         calls = []
         solves = [0]
@@ -362,8 +488,8 @@ class TestScan:
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         group_index_at(fig6.system, fig6.drive, PumpModel.direct(0.0), fig6.scale,
                        doppler=fig6.doppler)
-        assert len(calls) <= 28 + 2
-        assert solves[0] <= 2907 * 1.05
+        assert len(calls) <= 19 + 2
+        assert solves[0] <= 1861 * 1.05
 
     def test_doppler_value_independent_of_batch(self):
         config = DopplerConfig(nodes=16)
