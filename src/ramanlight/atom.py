@@ -17,7 +17,7 @@ acting on the row-major vectorised density matrix:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,20 +79,18 @@ class AtomicSystem:
 class DriveConfig:
     """Rabi frequencies and detunings of the optical fields (gamma3 units).
 
-    ``delta`` is half the frequency difference of the two couplings,
-    ``delta_c`` the detuning of their centre frequency from |2> -> |3>,
-    and ``delta_p`` the probe detuning from |1> -> |3>. Defaults reproduce
-    the slow-light pulse operating point: couplings centred halfway between
-    the excited doublet and the probe parked at two-photon resonance. The
-    chi evaluators take the two-photon detuning as their argument and read
-    ``delta_p`` nowhere; only direct ``build_liouvillian`` calls do.
+    ``delta`` is half the frequency difference of the two couplings and
+    ``delta_c`` the detuning of their centre frequency from |2> -> |3>;
+    the probe sits at two-photon resonance (its two-photon detuning and a
+    Doppler shift move L0 along ``detuning_generators``). Defaults
+    reproduce the slow-light pulse operating point: couplings centred
+    halfway between the excited doublet.
     """
 
     omega_c: float = 30.0
     omega_p: float = 0.01
     delta: float = 0.2
     delta_c: float = 70.0
-    delta_p: float = 70.0
 
     def __post_init__(self):
         require_finite(self)
@@ -100,15 +98,6 @@ class DriveConfig:
             raise ValueError("Rabi frequencies must be >= 0")
         if self.delta <= 0:
             raise DegenerateModelError("delta must be positive")
-
-    def at_two_photon_detuning(self, value: float) -> "DriveConfig":
-        """Probe moved so that delta_p - delta_c equals ``value``."""
-        return replace(self, delta_p=self.delta_c + value)
-
-    def doppler_shifted(self, shift: float) -> "DriveConfig":
-        """One-photon shift applied equally to probe and coupling detunings."""
-        return replace(self, delta_p=self.delta_p + shift,
-                       delta_c=self.delta_c + shift)
 
 
 @dataclass(frozen=True)
@@ -164,15 +153,14 @@ class PumpModel:
 class LiouvillianHarmonics:
     """Harmonic decomposition of the master-equation generator.
 
-    ``l0`` carries the static Hamiltonian, all dissipators and the pump;
-    ``l_plus``/``l_minus`` are the coupling terms rotating as
-    e^{+i delta t} / e^{-i delta t}. Each is a (dim^2 x dim^2) matrix acting
-    on the row-major vectorised density matrix.
+    ``l0`` carries the static Hamiltonian (probe at two-photon resonance),
+    all dissipators and the pump; ``l_plus`` is the coupling term rotating
+    as e^{+i delta t}, and the solvers form L(-1) = J(L(+1)). Each is a
+    (dim^2 x dim^2) matrix acting on the row-major vectorised density matrix.
     """
 
     l0: np.ndarray
     l_plus: np.ndarray
-    l_minus: np.ndarray
     dim: int = LEVELS
 
 
@@ -208,12 +196,10 @@ def build_hamiltonian_parts(system: AtomicSystem,
     Hermitian 4x4 matrices in hbar = 1, gamma3 units.
     """
     s31, s41, s32, s42 = system.dipole_signs
-    d2 = drive.delta_p - drive.delta_c
 
     h_static = np.zeros((LEVELS, LEVELS), dtype=complex)
-    h_static[1, 1] = 2.0 * d2
-    h_static[2, 2] = 2.0 * drive.delta_p
-    h_static[3, 3] = 2.0 * (drive.delta_p - system.omega43)
+    h_static[2, 2] = 2.0 * drive.delta_c
+    h_static[3, 3] = 2.0 * (drive.delta_c - system.omega43)
     h_static[0, 2] = h_static[2, 0] = s31 * drive.omega_p
     h_static[0, 3] = h_static[3, 0] = s41 * drive.omega_p
     h_static *= -0.5
@@ -251,7 +237,9 @@ def pump_generator(lindblad_form: bool) -> np.ndarray:
 
 def build_liouvillian(system: AtomicSystem, drive: DriveConfig,
                       pump: PumpModel) -> LiouvillianHarmonics:
-    """Assemble the generator harmonics for the driven master equation."""
+    """Assemble the generator harmonics for the driven master equation,
+    with the probe at two-photon resonance: L0 at (d2, s) is
+    l0 + d2 * G2 + s * Gs (``detuning_generators``)."""
     h_static, h_drive = build_hamiltonian_parts(system, drive)
 
     l0 = hamiltonian_superop(h_static)
@@ -265,8 +253,7 @@ def build_liouvillian(system: AtomicSystem, drive: DriveConfig,
 
     l0 += pump.rate() * pump_generator(pump.lindblad_form)
 
-    ld = hamiltonian_superop(h_drive)
-    return LiouvillianHarmonics(l0=l0, l_plus=ld, l_minus=ld.copy(), dim=LEVELS)
+    return LiouvillianHarmonics(l0=l0, l_plus=hamiltonian_superop(h_drive), dim=LEVELS)
 
 
 def pump_rate_from_field(pump: PumpModel) -> float:

@@ -109,8 +109,6 @@ def _parse_pump_mode(text: str) -> str:
 
 
 # section -> key -> (target field, parser); key names carry explicit units.
-# [drive] has no probe-detuning key: the two-photon detuning is what every
-# runner scans (or fixes at 0), whatever DriveConfig.delta_p holds.
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "system": {
         "gamma31_gamma3": ("gamma31", float),

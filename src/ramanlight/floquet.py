@@ -212,27 +212,21 @@ def _require_mirror(m: np.ndarray, identity: str) -> None:
         raise ValueError(f"{identity} is broken: rho(t) would not stay Hermitian")
 
 
-def _level_parities(dim: int) -> np.ndarray:
-    """ad_U of every level parity U = diag(+-1) but +-I, as the sign
-    u_i u_j it gives each vec(rho) entry (i, j): (2^(dim-1) - 1, dim^2)."""
-    codes = 2 * np.arange(1, 2 ** (dim - 1))    # bit i set: u_i = -1, so u_0 = 1
-    u = 1 - 2 * ((codes[:, None] >> np.arange(dim)) & 1)
-    return (u[:, :, None] * u[:, None, :]).reshape(codes.size, dim * dim)
-
-
 @functools.lru_cache(maxsize=None)
 def _level_maps(dim: int) -> tuple[np.ndarray, ...]:
     """The level permutations pi, (dim!, dim), and sign patterns s, s_0 = 1
     (X and -X act alike), (2^(dim-1), dim), of X = sum_i s_i |i><pi_i|, with
     the index map of each pi and the sign of each s that X (x) X gives
     vec(rho), vec(X rho X^T)[a] = sign[a] vec(rho)[index[a]], and the
-    sign's outer products: (dim!, dim^2), (2^(dim-1), dim^2, dim^2)."""
+    sign's outer products: (dim!, dim^2), (2^(dim-1), dim^2),
+    (2^(dim-1), dim^2, dim^2). Row 0 is s = 1; rows 1: are the level
+    parities U = diag(s), and sign is ad_U, s_i s_j on entry (i, j)."""
     perms = np.array(list(itertools.permutations(range(dim))))
     codes = 2 * np.arange(2 ** (dim - 1))      # bit i set: s_i = -1, so s_0 = 1
     signs = 1 - 2 * ((codes[:, None] >> np.arange(dim)) & 1)
     index = (perms[:, :, None] * dim + perms[:, None, :]).reshape(perms.shape[0], -1)
     sign = (signs[:, :, None] * signs[:, None, :]).reshape(signs.shape[0], -1)
-    maps = perms, signs, index, sign[:, :, None] * sign[:, None, :]
+    maps = perms, signs, index, sign, sign[:, :, None] * sign[:, None, :]
     for a in maps:
         a.flags.writeable = False
     return maps
@@ -256,7 +250,7 @@ def level_mirror(kept: list, flipped: list,
     that holds for every matrix holds bitwise for their sum.
     """
     dim2 = lp.shape[0]
-    perms, signs, index, sign2 = _level_maps(math.isqrt(dim2))
+    perms, signs, index, _, sign2 = _level_maps(math.isqrt(dim2))
     mats = np.stack([*kept, *flipped, lp])
     targets = np.stack([*kept, *(-m for m in flipped),
                         _mirror(lp, _transposition(dim2))])
@@ -283,7 +277,7 @@ def _sectors(l0: np.ndarray, lp: np.ndarray,
     no such parity (only +-I, which flips nothing) even = odd = all entries.
     """
     dim2 = lp.shape[0]
-    signs = _level_parities(math.isqrt(dim2))
+    signs = _level_maps(math.isqrt(dim2))[3][1:]     # every parity but +-I
     flips = (signs[:, :, None] != signs[:, None, :]).reshape(signs.shape[0], -1)
     static = (np.isfinite(l0) & (l0 != 0)).any(axis=0)
     if dl0 is not None:
@@ -678,8 +672,9 @@ def _period_operators(liouv: LiouvillianHarmonics, delta: float,
     accurate to ~1e-7 per mode, so the forced response is converged well
     below the oracle tolerances.
     """
-    l0, lp, lm = liouv.l0, liouv.l_plus, liouv.l_minus
+    l0, lp = liouv.l0, liouv.l_plus
     dim2 = l0.shape[0]
+    lm = _mirror(lp, _transposition(dim2))
     period = 2.0 * math.pi / delta
 
     decay_scale = max(1.0, float(np.max(-l0.diagonal().real, initial=0.0)))

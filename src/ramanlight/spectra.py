@@ -234,8 +234,7 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
         raise ValueError("probe must be on: chi is defined relative to omega_p")
     if doppler is not None and scale is None:
         raise ValueError("a Doppler average needs the scale its shift width follows")
-    liouv = build_liouvillian(system, drive.at_two_photon_detuning(0.0),
-                              PumpModel.direct(0.0))
+    liouv = build_liouvillian(system, drive, PumpModel.direct(0.0))
     pump = pump_generator(lindblad_form)
     l0s = liouv.l0 + rates[:, None, None] * pump
     per_d2, per_shift = detuning_generators()

@@ -14,6 +14,7 @@ from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              validate_system)
 from ramanlight.config import PRESETS, preset
 from ramanlight.spectra import DopplerConfig, make_eit_evaluator, physical_scale
+from helpers import at_detuning
 
 
 def unvec(v):
@@ -24,10 +25,14 @@ def apply(superop, rho):
     return unvec(superop @ rho.reshape(-1))
 
 
-def direct_master_rhs(system, drive, pump, rho, t, delta):
-    """Independent dense evaluation of the master equation right-hand side."""
+def direct_master_rhs(system, drive, pump, rho, t, d2=0.0, shift=0.0):
+    """Independent dense evaluation of the master equation right-hand side
+    at two-photon detuning ``d2`` and Doppler shift ``shift``: the rotating
+    frame moves |2> by -d2 and |3>, |4> by -d2 - shift."""
     h_static, h_drive = build_hamiltonian_parts(system, drive)
-    h = h_static + h_drive * (np.exp(1j * delta * t) + np.exp(-1j * delta * t))
+    h_static = h_static + np.diag([0.0, -d2, -d2 - shift, -d2 - shift])
+    phase = np.exp(1j * drive.delta * t)
+    h = h_static + h_drive * (phase + np.conj(phase))
     out = -1j * (h @ rho - rho @ h)
     jumps = [(ketbra(0, 2), system.gamma31), (ketbra(1, 2), system.gamma32),
              (ketbra(0, 3), system.gamma41), (ketbra(1, 3), system.gamma42),
@@ -53,6 +58,12 @@ def mirror(superop):
     return p @ superop.conj() @ p
 
 
+def generator_at(liouv, delta, t):
+    """L0 + L(+1) e^{i delta t} + L(-1) e^{-i delta t}, L(-1) = J(L(+1))."""
+    phase = np.exp(1j * delta * t)
+    return liouv.l0 + phase * liouv.l_plus + np.conj(phase) * mirror(liouv.l_plus)
+
+
 def random_hermitian(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return m + m.conj().T
@@ -61,10 +72,9 @@ def random_hermitian(rng):
 class TestHamiltonianParts:
     def test_fields_off_diagonal_energies(self):
         system = AtomicSystem()
-        drive = DriveConfig(omega_c=0.0, omega_p=0.0, delta=0.2,
-                            delta_c=0.0, delta_p=0.0)
+        drive = DriveConfig(omega_c=0.0, omega_p=0.0, delta=0.2, delta_c=0.0)
         h_static, h_drive = build_hamiltonian_parts(system, drive)
-        # only the excited-doublet splitting survives: H44 = omega43 - delta_p
+        # only the excited-doublet splitting survives: H44 = omega43 - delta_c
         assert np.allclose(h_static, np.diag([0.0, 0.0, 0.0, 140.0]))
         assert np.allclose(h_drive, 0.0)
 
@@ -82,11 +92,11 @@ class TestHamiltonianParts:
         assert np.allclose(np.diag(h_drive), 0.0)
 
     @given(omega_c=st.floats(0.0, 100.0), omega_p=st.floats(0.0, 1.0),
-           delta_p=st.floats(-200.0, 200.0), delta_c=st.floats(-200.0, 200.0))
+           delta_c=st.floats(-200.0, 200.0))
     @settings(max_examples=50, deadline=None)
-    def test_always_hermitian(self, omega_c, omega_p, delta_p, delta_c):
+    def test_always_hermitian(self, omega_c, omega_p, delta_c):
         drive = DriveConfig(omega_c=omega_c, omega_p=omega_p, delta=0.3,
-                            delta_c=delta_c, delta_p=delta_p)
+                            delta_c=delta_c)
         h_static, h_drive = build_hamiltonian_parts(AtomicSystem(), drive)
         assert np.allclose(h_static, h_static.conj().T)
         assert np.allclose(h_drive, h_drive.conj().T)
@@ -111,16 +121,15 @@ class TestLiouvillian:
     def test_matches_direct_rhs_at_random_states(self):
         rng = np.random.default_rng(7)
         system = AtomicSystem()
-        drive = DriveConfig(omega_c=24.0, delta=0.17, delta_p=70.4)
+        drive = DriveConfig(omega_c=24.0, delta=0.17)
         pump = PumpModel.direct(0.21)
-        liouv = build_liouvillian(system, drive, pump)
+        liouv = at_detuning(build_liouvillian(system, drive, pump), 0.4, -37.0)
         for t in (0.0, 0.3, 1.7):
-            phase = np.exp(1j * drive.delta * t)
-            total = liouv.l0 + phase * liouv.l_plus + np.conj(phase) * liouv.l_minus
             for _ in range(4):
                 rho = random_hermitian(rng)
-                expected = direct_master_rhs(system, drive, pump, rho, t, drive.delta)
-                assert np.allclose(apply(total, rho), expected, atol=1e-12)
+                expected = direct_master_rhs(system, drive, pump, rho, t, 0.4, -37.0)
+                assert np.allclose(apply(generator_at(liouv, drive.delta, t), rho),
+                                   expected, atol=1e-12)
 
     def test_trace_annihilation_on_random_basis(self):
         rng = np.random.default_rng(11)
@@ -128,7 +137,7 @@ class TestLiouvillian:
                                   PumpModel.direct(0.4))
         for _ in range(16):
             rho = random_hermitian(rng)
-            for op in (liouv.l0, liouv.l_plus, liouv.l_minus):
+            for op in (liouv.l0, liouv.l_plus, mirror(liouv.l_plus)):
                 assert abs(np.trace(apply(op, rho))) < 1e-14 * max(
                     1.0, np.abs(rho).max())
 
@@ -137,12 +146,12 @@ class TestLiouvillian:
         liouv = build_liouvillian(AtomicSystem(), DriveConfig(),
                                   PumpModel.direct(0.2))
         rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        for op in (liouv.l0, liouv.l_plus + liouv.l_minus):
+        for op in (liouv.l0, liouv.l_plus + mirror(liouv.l_plus)):
             image_dag = apply(op, rho.conj().T)
             assert np.allclose(image_dag, apply(op, rho).conj().T, atol=1e-13)
-        # term by term, bit for bit: J(L0) = L0, J(L(+1)) = L(-1) and both
-        # detuning generators fixed, the identities the continued fraction
-        # mirrors its n < 0 side by
+        # term by term, bit for bit: J(L0) = L0 and both detuning generators
+        # fixed, the identities the continued fraction mirrors its n < 0 side
+        # by; J(L(+1)) = L(+1), so the oracle's L(-1) = J(L(+1)) is L(+1)
         per_d2, per_shift = detuning_generators()
         assert np.array_equal(mirror(per_d2), per_d2)
         assert np.array_equal(mirror(per_shift), per_shift)
@@ -154,12 +163,12 @@ class TestLiouvillian:
                          PumpModel.from_field(2.0, lindblad_form=True)):
                 liouv = build_liouvillian(config.system, config.drive, pump)
                 assert np.array_equal(mirror(liouv.l0), liouv.l0), (name, pump)
-                assert np.array_equal(mirror(liouv.l_plus), liouv.l_minus), (name, pump)
+                assert np.array_equal(mirror(liouv.l_plus), liouv.l_plus), (name, pump)
 
     def test_drive_harmonics_equal_for_hermitian_drive(self):
         liouv = build_liouvillian(AtomicSystem(), DriveConfig(),
                                   PumpModel.direct(0.0))
-        assert np.array_equal(liouv.l_plus, liouv.l_minus)
+        assert np.array_equal(liouv.l_plus, mirror(liouv.l_plus))
 
     def test_lindblad_pump_damps_ground_coherence(self):
         drive = DriveConfig(omega_c=0.0, omega_p=0.0)
@@ -192,18 +201,19 @@ class TestLiouvillian:
             assert np.array_equal(l0, rate0 + pump.rate() * generator)
 
     def test_generator_affine_in_detuning_and_shift(self):
-        # L0(d2, s) = L0(0, 0) + d2 G2 + s Gs, against a fresh assembly
+        # L0(d2, s) = L0(0, 0) + d2 G2 + s Gs, against the dense right-hand
+        # side with the level shifts written out
         system = AtomicSystem(omega43=133.0, gamma3_deph=0.02)
         drive = DriveConfig(omega_c=25.0, delta=0.3, delta_c=61.7)
         pump = PumpModel.direct(0.27)
-        base = build_liouvillian(system, drive.at_two_photon_detuning(0.0), pump).l0
-        per_d2, per_shift = detuning_generators()
+        base = build_liouvillian(system, drive, pump)
         rng = np.random.default_rng(11)
         for d2, shift in zip(rng.uniform(-3.0, 3.0, 8), rng.uniform(-200.0, 200.0, 8)):
-            direct = build_liouvillian(
-                system, drive.at_two_photon_detuning(d2).doppler_shifted(shift), pump).l0
-            affine = base + d2 * per_d2 + shift * per_shift
-            assert np.abs(affine - direct).max() <= 1e-13 * np.abs(direct).max()
+            total = generator_at(at_detuning(base, d2, shift), drive.delta, 0.3)
+            rho = random_hermitian(rng)
+            expected = direct_master_rhs(system, drive, pump, rho, 0.3, d2, shift)
+            assert (np.abs(apply(total, rho) - expected).max()
+                    <= 1e-13 * np.abs(total).max() * np.abs(rho).max())
 
 
 class TestPumpRate:
@@ -271,15 +281,14 @@ class TestValidation:
         lambda v: AtomicSystem(omega43=v),
         lambda v: AtomicSystem(gamma31=v),
         lambda v: DriveConfig(delta=v),
-        lambda v: DriveConfig(delta_p=v),
         lambda v: DriveConfig(omega_c=v),
         lambda v: PumpModel.direct(v),
         lambda v: PumpModel.from_field(v),
         lambda v: DopplerConfig(temperature=v),
         lambda v: physical_scale(v),
         lambda v: make_eit_evaluator(AtomicSystem(), v, 0.01),
-    ], ids=["system-omega43", "system-gamma31", "drive-delta", "drive-delta_p",
-            "drive-omega_c", "pump-direct", "pump-field", "doppler-temperature",
+    ], ids=["system-omega43", "system-gamma31", "drive-delta", "drive-omega_c",
+            "pump-direct", "pump-field", "doppler-temperature",
             "physical_scale", "eit-omega_c"])
     def test_non_finite_input_rejected(self, build, value):
         with pytest.raises(ValueError, match="finite"):

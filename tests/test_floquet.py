@@ -18,6 +18,7 @@ from ramanlight.floquet import (ConvergenceError, choose_truncation,
                                 extract_dc_coherences, harmonic_tail_ok,
                                 integrate_to_period_average, solve_batch,
                                 solve_converged_batch, solve_floquet)
+from helpers import at_detuning
 
 SYSTEM = AtomicSystem()
 PAPER_DRIVE = DriveConfig(omega_c=30.0, delta=0.2)
@@ -68,15 +69,20 @@ def without_parity(liouv):
 PAPER_EVEN = np.flatnonzero(np.outer([1, -1, 1, 1], [1, -1, 1, 1]).ravel() > 0)
 
 
+def l_minus(lp):
+    """L(-1) = J(L(+1)) = P conj(L(+1)) P, P: vec(rho) -> vec(rho^T)."""
+    return lp.conj().reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
+
+
 def dense_harmonics(liouv, delta, order):
-    a, b = assemble_dense(liouv.l0, liouv.l_plus, liouv.l_minus, delta, order)
+    a, b = assemble_dense(liouv.l0, liouv.l_plus, l_minus(liouv.l_plus), delta, order)
     return np.linalg.solve(a, b).reshape(2 * order + 1, 4, 4)
 
 
 def dense_tangent(liouv, delta, order, dl0):
     """dx/dp of the dense truncated system A x = e when dL0/dp = dl0:
     A y = -(I (x) dl0) x with the trace row of the right-hand side zero."""
-    a, b = assemble_dense(liouv.l0, liouv.l_plus, liouv.l_minus, delta, order)
+    a, b = assemble_dense(liouv.l0, liouv.l_plus, l_minus(liouv.l_plus), delta, order)
     lu = scipy.linalg.lu_factor(a)
     x = scipy.linalg.lu_solve(lu, b).reshape(2 * order + 1, -1)
     rhs = -(x @ dl0.T).reshape(-1)
@@ -109,7 +115,7 @@ class TestContinuedFraction:
 
     def test_doppler_shifted_class_at_high_order_matches_dense(self):
         # a velocity class 10 Gamma3 from |3>: every harmonic up to 120 counts
-        liouv = liouvillian(PAPER_DRIVE.doppler_shifted(-60.0), rate=0.2)
+        liouv = at_detuning(liouvillian(rate=0.2), shift=-60.0)
         fd = solve_floquet(liouv, 0.2, 120)
         assert np.abs(fd.harmonic(120)).max() > 1e-6 * np.abs(fd.harmonic(0)).max()
         assert_matches_dense(fd, liouv)
@@ -120,7 +126,7 @@ class TestContinuedFraction:
         # e^{i n phi}; L(+1) != L(-1) = J(L(+1)) here
         liouv = liouvillian(rate=0.4)
         lp = np.exp(1j * phi) * liouv.l_plus
-        lm = lp.conj().reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
+        lm = l_minus(lp)
         assert not np.allclose(lp, lm)
         x, errors, _ = solve_batch(liouv.l0[None], lp, 0.2, 10)
         assert not errors
@@ -132,7 +138,7 @@ class TestContinuedFraction:
         assert_harmonics_close(phased, np.linalg.solve(a, b).reshape(21, 4, 4), 1e-12)
 
     def test_batch_members_are_independent(self):
-        shifted = liouvillian(PAPER_DRIVE.doppler_shifted(-60.0))
+        shifted = at_detuning(liouvillian(), shift=-60.0)
         paper = liouvillian()
         stack = np.stack([paper.l0, shifted.l0, paper.l0])
         stack[2] = np.nan        # one unusable member
@@ -148,7 +154,7 @@ class TestContinuedFraction:
         # the paper point settles at order 10; the shifted class needs ~300
         monkeypatch.setattr(floquet, "MAX_ORDER", 25)
         paper = liouvillian()
-        stack = np.stack([paper.l0, liouvillian(PAPER_DRIVE.doppler_shifted(-60.0)).l0])
+        stack = np.stack([paper.l0, at_detuning(liouvillian(), shift=-60.0).l0])
         rho0, orders, errors = solve_converged_batch(lambda m: stack[m], paper.l_plus,
                                                      0.2, [1, 1])
         assert list(errors) == [1]
@@ -179,10 +185,11 @@ class TestParitySectors:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_preset_drive_splits_ten_six(self, name, lindblad_form):
         config = preset(name)
-        shifted = config.drive.at_two_photon_detuning(0.07).doppler_shifted(-3.0)
-        l0 = np.stack([build_liouvillian(config.system, drive,
-                                         PumpModel.direct(rate, lindblad_form)).l0
-                       for drive in (config.drive, shifted) for rate in (0.0, 0.3)])
+        rates = [build_liouvillian(config.system, config.drive,
+                                   PumpModel.direct(rate, lindblad_form))
+                 for rate in (0.0, 0.3)]
+        l0 = np.stack([at_detuning(liouv, d2, shift).l0
+                       for d2, shift in ((0.0, 0.0), (0.07, -3.0)) for liouv in rates])
         liouv = build_liouvillian(config.system, config.drive, config.pump)
         even, odd = floquet._sectors(l0, liouv.l_plus, None)
         assert even.tolist() == PAPER_EVEN.tolist()
@@ -206,7 +213,7 @@ class TestParitySectors:
         TestTangent.assert_matches_dense_tangent(liouv, order)
 
     def test_without_parity_doppler_shifted_class_at_high_order(self):
-        liouv = without_parity(liouvillian(PAPER_DRIVE.doppler_shifted(-60.0), rate=0.2))
+        liouv = without_parity(at_detuning(liouvillian(rate=0.2), shift=-60.0))
         fd = solve_floquet(liouv, 0.2, 120)
         assert np.abs(fd.harmonic(120)).max() > 1e-6 * np.abs(fd.harmonic(0)).max()
         assert_matches_dense(fd, liouv)
@@ -292,8 +299,7 @@ class TestLevelMirror:
 
     @staticmethod
     def mirror(system, drive, lindblad_form=False):
-        liouv = build_liouvillian(system, drive.at_two_photon_detuning(0.0),
-                                  PumpModel.direct(0.0))
+        liouv = build_liouvillian(system, drive, PumpModel.direct(0.0))
         return floquet.level_mirror([liouv.l0, pump_generator(lindblad_form)],
                                     list(detuning_generators()), liouv.l_plus)
 
@@ -353,7 +359,7 @@ class TestMirrorPrecondition:
     def test_expanded_harmonics_are_exact_adjoints_on_every_path(self):
         # the solve stores n >= 0 only; the expansion writes the n < 0 side
         per_d2 = detuning_generators()[0]
-        shifted = liouvillian(PAPER_DRIVE.doppler_shifted(-60.0), rate=0.2)
+        shifted = at_detuning(liouvillian(rate=0.2), shift=-60.0)
         for liouv in (shifted, without_parity(shifted)):
             x, errors, tangent = solve_batch(liouv.l0[None], liouv.l_plus, 0.2, 31,
                                              per_d2)
@@ -383,7 +389,7 @@ class TestResidualCheck:
         """A unit vector on ``sector`` that L(+-1) map to 0 in ``other``: a
         harmonic spoiled along it spoils only its own rows."""
         drive = np.vstack([liouv.l_plus[other[:, None], sector],
-                           liouv.l_minus[other[:, None], sector]])
+                           l_minus(liouv.l_plus)[other[:, None], sector]])
         return scipy.linalg.null_space(drive)[:, 0]
 
     def test_spoiled_solution_flags_only_its_member(self):
@@ -398,7 +404,8 @@ class TestResidualCheck:
         even[3] *= 1.0 + 1e-3
         odd[3] *= 1.0 + 1e-3
         spoiled = floquet.SectorHarmonics(x.sectors, (even, odd))
-        errors = floquet._residual_errors(spoiled, l0, paper.l_plus, paper.l_minus, 0.2)
+        errors = floquet._residual_errors(spoiled, l0, paper.l_plus,
+                                          l_minus(paper.l_plus), 0.2)
         assert sorted(errors) == [1, 2, 3]
         assert all(isinstance(e, DegenerateModelError) for e in errors.values())
 
@@ -433,7 +440,7 @@ class TestTangent:
         self.assert_matches_dense_tangent(liouvillian(rate=rate), order)
 
     def test_doppler_shifted_class_at_high_order(self):
-        liouv = liouvillian(PAPER_DRIVE.doppler_shifted(-60.0), rate=0.2)
+        liouv = at_detuning(liouvillian(rate=0.2), shift=-60.0)
         self.assert_matches_dense_tangent(liouv, 120)
 
     def test_derivative_that_breaks_the_parity(self):
@@ -652,6 +659,15 @@ class TestTimeDomainOracle:
             expected = float(weights @ np.exp(-rate * (p * period + grid)))
             measured = trace.average_history[p][0, 0].real
             assert measured == pytest.approx(expected, rel=1e-9)
+
+    def test_phased_coupling_gets_its_own_mirror_term(self):
+        # L(+1) -> e^{0.7 i} L(+1) makes L(-1) = J(L(+1)) differ from L(+1):
+        # the oracle forms it as the harmonic solve does
+        liouv = liouvillian(DriveConfig(omega_c=20.0, delta=0.3), rate=0.2)
+        phased = replace(liouv, l_plus=np.exp(0.7j) * liouv.l_plus)
+        average, _ = integrate_to_period_average(phased, 0.3, tol=1e-11)
+        expected = solve_floquet(phased, 0.3, 20).harmonic(0)
+        assert np.abs(average - expected).max() <= 1e-10
 
     def test_final_period_samples_are_states(self):
         liouv = liouvillian()

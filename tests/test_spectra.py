@@ -24,6 +24,7 @@ from ramanlight.spectra import (BranchCutError, DopplerConfig, ScanError,
                                 group_index_at, make_chi_evaluator,
                                 make_eit_evaluator, physical_scale, pump_sweep,
                                 scan_evaluator, transmission_window_fwhm)
+from helpers import at_detuning
 
 SYSTEM = AtomicSystem()
 FIG2C = DriveConfig(omega_c=30.0, delta=0.2)
@@ -92,11 +93,11 @@ class TestTruncation:
         # presets (order 14). Measured errors against order 41: 4e-11 on
         # chi(0) and 2.6e-9 on the slope; the bounds sit below the 1.0e-9
         # and 1.4e-8 that order 13 gives, the choice of choose_truncation
-        drive = DriveConfig(omega_c=55.0, delta=0.2)   # fig5: delta_c = delta_p = 70
+        drive = DriveConfig(omega_c=55.0, delta=0.2)   # fig5: delta_c = 70
         pump = PumpModel.direct(0.0)
 
         def order_41(d2):
-            liouv = build_liouvillian(SYSTEM, drive.at_two_photon_detuning(d2), pump)
+            liouv = at_detuning(build_liouvillian(SYSTEM, drive, pump), d2)
             rho31, rho41 = extract_dc_coherences(solve_floquet(liouv, 0.2, 41))
             return (rho31 - rho41) / drive.omega_p
 
@@ -166,8 +167,7 @@ class TestAcceptedOrders:
     def test_fig6_classes_below_zero_shift_solved_directly(self):
         # the mirror images accept at the mirrored orders
         fig6 = preset("fig6")
-        liouv = build_liouvillian(fig6.system, fig6.drive.at_two_photon_detuning(0.0),
-                                  PumpModel.direct(0.0))
+        liouv = build_liouvillian(fig6.system, fig6.drive, PumpModel.direct(0.0))
         nodes, _ = np.polynomial.hermite.hermgauss(fig6.doppler.nodes)
         shifts = math.sqrt(2.0) * fig6.doppler.shift_sigma(fig6.scale) * nodes[:32]
         per_shift = detuning_generators()[1]
@@ -202,8 +202,7 @@ def per_member(system, drive, rate, d2s, shifts):
     """chi and d chi/d d2 of each member (d2s[i], shifts[i]) by its own
     ladder from the base order of the anchors 0, +-delta, as a solver
     without the mirror makes them, bit for bit."""
-    liouv = build_liouvillian(system, drive.at_two_photon_detuning(0.0),
-                              PumpModel.direct(0.0))
+    liouv = build_liouvillian(system, drive, PumpModel.direct(0.0))
     l0 = liouv.l0 + rate * pump_generator(False)
     per_d2, per_shift = detuning_generators()
 
