@@ -10,8 +10,8 @@ scenarios share a file name, so the directory is flat, and one run per
 commit with ``diff -r`` between the two directories shows whether a
 change moved any output byte.
 
-fig6 velocity-averages a full pump sweep and takes about 2.4 s on a
-shared 2-core host, fig4 about 0.9 s and every other scenario 0.3-0.7 s,
+fig6 velocity-averages a full pump sweep and takes about 1.3 s on a
+shared 2-core host, fig4 about 0.65 s and every other scenario 0.3-0.7 s,
 each with its interpreter start.
 
 Compare two output directories with scripts/compare_outputs.py.

@@ -83,17 +83,23 @@ def _normalised_pulses(curves: list[tuple[str, pulses.Pulse]]) -> list:
     return series
 
 
-def _pulse_case(config: ScenarioConfig, evaluator):
-    """Propagate the configured pulse through the evaluator's medium.
-
-    Returns the input pulse, its vacuum reference, the output pulse and
-    the headline numbers. The group index that predicts the delay takes
-    its slope from the evaluator's tangent.
-    """
-    scale = config.scale
+def _input_pulse(config: ScenarioConfig) -> tuple[pulses.Pulse, pulses.Pulse]:
+    """The configured input pulse and its vacuum reference, which every
+    case of a scenario shares."""
     pulse = pulses.synthesize_gaussian(config.pulse.sigma, config.pulse.window,
                                        config.pulse.samples)
-    reference = pulses.vacuum_reference(pulse, scale)
+    return pulse, pulses.vacuum_reference(pulse, config.scale)
+
+
+def _pulse_case(config: ScenarioConfig, pulse: pulses.Pulse,
+                reference: pulses.Pulse, evaluator):
+    """Propagate ``pulse`` through the evaluator's medium.
+
+    Returns the output pulse and the headline numbers, the delay measured
+    against the vacuum ``reference``. The group index that predicts the
+    delay takes its slope from the evaluator's tangent.
+    """
+    scale = config.scale
     output = pulses.propagate(pulse, evaluator, scale, _pulse_half_width(config))
     chi0, dchi0 = evaluator.tangent(0.0)
     n_g = group_index(chi0, dchi0.real, scale).n_g
@@ -105,7 +111,7 @@ def _pulse_case(config: ScenarioConfig, evaluator):
         "stretch": summary.stretch,
         "transmission": summary.transmission,
     }
-    return pulse, reference, output, numbers
+    return output, numbers
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +151,14 @@ def _run_fig4(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
     files = []
     headline = {}
     curves = []
+    pulse, reference = _input_pulse(config)
     for tag, label, pump in (("pump_off", "slow", PumpModel.direct(0.0)),
                              ("pump_on", "fast", config.pump)):
         evaluator = _raman_evaluator(config, pump)
         files.append(tables.write_spectrum_csv(
             out / f"fig4_spectrum_{tag}.csv",
             scan_evaluator(evaluator, _pulse_band_grid(config))))
-        _, reference, output, numbers = _pulse_case(config, evaluator)
+        output, numbers = _pulse_case(config, pulse, reference, evaluator)
         files.append(tables.write_pulse_csv(out / f"fig4_pulse_{label}.csv", output))
         curves.append((label, output))
         for key, value in numbers.items():
@@ -182,8 +189,9 @@ def _run_fig5(config: ScenarioConfig, out: Path, svg: bool) -> tuple[list, dict]
     raman = {f"two_coupling_r{pump.rate():g}".replace(".", "p"): pump
              for pump in (PumpModel.direct(0.0), config.pump)}  # one per rate
     cases += [(tag, _raman_evaluator(config, pump)) for tag, pump in raman.items()]
+    pulse, reference = _input_pulse(config)
     for tag, evaluator in cases:
-        _, reference, output, numbers = _pulse_case(config, evaluator)
+        output, numbers = _pulse_case(config, pulse, reference, evaluator)
         files.append(tables.write_pulse_csv(out / f"fig5_pulse_{tag}.csv", output))
         curves.append((tag, output))
         for key in ("group_index", "peak_delay_s", "stretch"):
@@ -203,7 +211,8 @@ def _run_pulse_command(config: ScenarioConfig, out: Path,
                        svg: bool) -> tuple[list, dict]:
     evaluator = _raman_evaluator(config, config.pump)
     spectrum = scan_evaluator(evaluator, _pulse_band_grid(config))
-    pulse, reference, output, numbers = _pulse_case(config, evaluator)
+    pulse, reference = _input_pulse(config)
+    output, numbers = _pulse_case(config, pulse, reference, evaluator)
     files = [
         tables.write_spectrum_csv(out / "pulse_spectrum.csv", spectrum),
         tables.write_pulse_csv(out / "pulse_input.csv", pulse),

@@ -44,12 +44,12 @@ from .atom import DegenerateModelError, LiouvillianHarmonics
 # fig6's classes accept at up to order 219, Omega_c = 300 gamma3 at 56
 MAX_ORDER = 600
 # live storage of one solve chunk, as ``_member_bytes`` counts it: per
-# harmonic S_k and rho_k on its sector (with the tangent g_k and y_k), per
-# member L0, its sector blocks and the zeroth-harmonic matrix. tracemalloc
-# puts the peak of a chunk, the residual and invariant checks' temporaries
-# included, at 1.0 to 1.3 times this count. At 1152 KiB a fig6 Doppler
-# point at R = 0 solves its rungs in 19 ``solve_batch`` calls
-CHUNK_BYTES = 1152 * 2 ** 10
+# harmonic S_k and rho_k on its sector (with the tangent g_k), per member
+# L0, its sector blocks and the zeroth-harmonic matrix. tracemalloc puts
+# the peak of a chunk, the residual and invariant checks' temporaries
+# included, at 1.05 to 1.25 times this count. At 1536 KiB each rung of a
+# fig6 Doppler point at R = 0 is one chunk: 15 ``solve_batch`` calls
+CHUNK_BYTES = 1536 * 2 ** 10
 COMPLEX_BYTES = 16
 
 
@@ -300,10 +300,13 @@ def _fraction_blocks(blocks, lm_blocks, delta: float, s: list,
     sector. A_n reads s[n], so the continued fraction fills s[n] before it
     asks for the next block.
     """
-    eyes = [np.eye(b.shape[-1]) for b in blocks]
     order = len(s)
     for n in range(order, 0, -1):
-        a = blocks[n % 2][members] - (1j * n * delta) * eyes[n % 2]
+        a = blocks[n % 2][members]
+        if isinstance(members, slice):   # a view: shift a copy
+            a = a.copy()
+        diagonal = np.einsum("...ii->...i", a)   # a view, shifted in place
+        diagonal -= 1j * n * delta
         if n < order:
             a += lm_blocks[n % 2] @ s[n][members]
         yield n, a
@@ -371,12 +374,12 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     e0 = np.zeros((even.size, 1), dtype=complex)
     e0[0] = 1.0
 
-    def harmonics(y0: np.ndarray, terms) -> SectorHarmonics:
-        """The sector vectors y_0 and y_n = terms(n, y_{n-1}), n = 1 ... order."""
-        parts = tuple(np.empty((y0.shape[0], (order + 2 - p) // 2, sectors[p].size),
+    def harmonics(y0: np.ndarray, terms, upto: int = order) -> SectorHarmonics:
+        """The sector vectors y_0 and y_n = terms(n, y_{n-1}), n = 1 ... upto."""
+        parts = tuple(np.empty((y0.shape[0], (upto + 2 - p) // 2, sectors[p].size),
                                dtype=complex) for p in (0, 1))
         parts[0][:, 0] = y0[..., 0]
-        for n in range(1, order + 1):
+        for n in range(1, upto + 1):
             y0 = terms(n, y0)
             parts[n % 2][:, n // 2] = y0[..., 0]
         return SectorHarmonics(sectors, parts)
@@ -386,8 +389,9 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
         return x, None
     dl0_blocks = [dl0[p[:, None], p] for p in sectors]
 
-    def tangent(members) -> np.ndarray:
-        """dx/dp of the given members when their L0 moves by dL0/dp = dl0.
+    def tangent(members, upto: int = order) -> SectorHarmonics:
+        """dx/dp of the given members when their L0 moves by dL0/dp = dl0,
+        harmonics 0 ... ``upto`` (every one by default).
 
         Differentiating the truncated system M(p) x = e at fixed order
         gives M y = -(I (x) dl0) x, with the trace row of the right-hand
@@ -400,27 +404,31 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
         and m0 y_0 = r_0 - L(+1) h_1 - L(-1) g_1 with trace(y_0) = 0, where
         A_n, S_n and m0 are those formed above; J(dl0) = dl0 gives
         h_n = P conj(g_n) and y_-n = P conj(y_n). The sectors keep dl0, so
-        y lives in them too. Returns y of the members, as x is returned.
-        The members are picked per harmonic: a copy of a strict subset's
-        S_n would take as much again as the chunk's own.
+        y lives in them too. Returns y of the members, as x is returned, up
+        to harmonic ``upto``: the g_n sweep down to y_0 whatever it is, the
+        y_n sweep up only that far. The members are picked per harmonic: a
+        copy of a strict subset's S_n would take as much again as the
+        chunk's own.
         """
         if np.array_equal(members, np.arange(m0.shape[0])):
             members = slice(None)
-        xs = x.parts
-        # g_n, from n = order down
-        g: list = [None] * order
+        # r_n of every harmonic, one product per parity, stored where
+        # parts[n % 2][:, n // 2] is; g_n then takes the place of r_n
+        g = [dl0_blocks[p] @ x.parts[p][members, ..., None] for p in (0, 1)]
+        for part in g:
+            np.negative(part, out=part)
         for n, a in _fraction_blocks(blocks, lm_blocks, delta, s, members):
-            r = -(dl0_blocks[n % 2] @ xs[n % 2][members, n // 2, :, None])
+            r = g[n % 2][:, n // 2]
             if n < order:
-                r -= lm_blocks[n % 2] @ g[n]
-            g[n - 1] = _solve_stack(a, r)
+                r -= lm_blocks[n % 2] @ g[1 - n % 2][:, (n + 1) // 2]
+            r[...] = _solve_stack(a, r)
 
-        closing = lm_blocks[0] @ g[0]
-        b0 = (-(dl0_blocks[0] @ xs[0][members, 0, :, None]) - closing
-              - closing[:, perm_even].conj())
+        closing = lm_blocks[0] @ g[1][:, 0]
+        b0 = g[0][:, 0] - closing - closing[:, perm_even].conj()
         b0[:, 0] = 0.0
         return harmonics(_solve_stack(m0[members], b0),
-                         lambda n, prev: g[n - 1] + s[n - 1][members] @ prev)
+                         lambda n, prev: g[n % 2][:, n // 2] + s[n - 1][members] @ prev,
+                         upto)
 
     return x, tangent
 
@@ -477,7 +485,8 @@ def _residual_errors(x: SectorHarmonics, l0, lp, lm,
 
 
 def solve_batch(l0: np.ndarray, lp: np.ndarray, delta: float, order: int,
-                dl0: np.ndarray | None = None
+                dl0: np.ndarray | None = None,
+                checked: Callable[[SectorHarmonics], np.ndarray] | None = None
                 ) -> tuple[SectorHarmonics, dict[int, Exception], Callable | None]:
     """Periodic steady states of a batch of generators at one truncation order.
 
@@ -489,11 +498,15 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, delta: float, order: int,
     The errors are DegenerateModelError when the constrained system is
     singular and SolverError when the solution violates the trace or
     population invariants; a failing member does not affect the others.
-    ``tangent(members)`` returns d harmonics/dp of the given members, in
-    the same form, when their L0 moves by
-    dL0/dp = ``dl0``: the exact derivative of the truncated system, from
-    the continued fraction this solve formed. ValueError when J(L0) = L0
-    or J(dL0) = dL0 fails beyond rounding (``_continued_fraction``).
+    ``checked(x)``, given the harmonics, masks the members to check; the
+    others are reported only when the drive is off and their steady state
+    is not unique. Every member is checked by default.
+    ``tangent(members, upto)`` returns d harmonics/dp of the given members,
+    in the same form, up to harmonic ``upto`` (every one by default), when
+    their L0 moves by dL0/dp = ``dl0``: the exact derivative of the
+    truncated system, from the continued fraction this solve formed.
+    ValueError when J(L0) = L0 or J(dL0) = dL0 fails beyond rounding
+    (``_continued_fraction``).
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -515,12 +528,17 @@ def solve_batch(l0: np.ndarray, lp: np.ndarray, delta: float, order: int,
 
     sectors = _sectors(l0, lp, dl0)
     x, tangent = _continued_fraction(l0, lp, lm, delta, order, dl0, sectors)
-    for b, exc in _residual_errors(x, l0, lp, lm, delta).items():
-        errors.setdefault(b, exc)
-    pops = np.diagonal(x.full(0)[:, 0], axis1=1, axis2=2)
-    for b, problems in enumerate(_invariant_violations(x.traces(), pops, atol=1e-8)):
+    members = np.arange(l0.shape[0]) if checked is None else np.flatnonzero(checked(x))
+    seen = x
+    if members.size < l0.shape[0]:      # the checks read a copy of these alone
+        seen = SectorHarmonics(sectors, tuple(part[members] for part in x.parts))
+        l0 = l0[members]
+    for b, exc in _residual_errors(seen, l0, lp, lm, delta).items():
+        errors.setdefault(int(members[b]), exc)
+    pops = np.diagonal(seen.full(0)[:, 0], axis1=1, axis2=2)
+    for b, problems in enumerate(_invariant_violations(seen.traces(), pops, atol=1e-8)):
         if problems:
-            errors.setdefault(b, SolverError(
+            errors.setdefault(int(members[b]), SolverError(
                 "steady-state invariants violated: " + "; ".join(problems)))
     return x, errors, tangent
 
@@ -560,13 +578,22 @@ def _member_bytes(dim2: int, order: int, tangent: bool) -> int:
     Per harmonic k > 0 (k < 0 is mirrored, not stored): S_k, at most
     dim^4 / 4 numbers between two sectors, and rho_k on its sector, dim^2 / 2
     numbers on average (10 and 6 for the paper's split); with the tangent
-    also g_k and y_k, dim^2 more. Per member: L0 (dim^4), and its sector
-    blocks with the zeroth-harmonic matrix, counted as dim^4 more (236 of
-    256 for the paper's split). A batch without a parity split keeps
-    three to four times more.
+    also g_k, dim^2 / 2 more (the ladder reads y_0 alone). Per member: L0
+    (dim^4), and its sector blocks with the zeroth-harmonic matrix, counted
+    as dim^4 more (236 of 256 for the paper's split). A batch without a
+    parity split keeps three to four times more.
     """
-    per_harmonic = dim2 ** 2 // 4 + dim2 // 2 + (dim2 if tangent else 0)
+    per_harmonic = dim2 ** 2 // 4 + dim2 // 2 + (dim2 // 2 if tangent else 0)
     return (order * per_harmonic + 2 * dim2 ** 2) * COMPLEX_BYTES
+
+
+def _kept_by_ladder(x: SectorHarmonics) -> np.ndarray:
+    """The members of a rung whose errors the ladder keeps: the tail
+    passes, a harmonic is not finite, or the rung is at MAX_ORDER. Any
+    other member climbs, whatever its checks would say."""
+    finite = np.all([np.isfinite(part).all(axis=(1, 2)) for part in x.parts], axis=0)
+    return (~finite | _tails_ok(x.harmonic(x.order), x.harmonic(0))
+            | (x.order >= MAX_ORDER))
 
 
 def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
@@ -581,13 +608,15 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
     raises its order n to max(n + 2, ceil(1.4 n)), at most MAX_ORDER.
     Members at the same order are solved together, in as few equal chunks
     as keep at most CHUNK_BYTES live each (``_member_bytes``); only those
-    whose tail fails climb, also when ``solve_batch`` flags them below
-    MAX_ORDER with finite harmonics.
+    whose tail fails climb. ``solve_batch`` checks only the members whose
+    error the ladder keeps (``_kept_by_ladder``): one that climbs is not
+    checked at that rung.
     Returns rho_0, (1, batch, dim, dim), with ``dl0`` (dL0/dp of every
     member) stacked on d rho_0/dp, (2, batch, dim, dim), from one tangent
-    pass per accepted chunk, counted in its storage; the accepted orders;
-    and the failing members by index. A failing member has order 0 and NaN
-    rho_0; ConvergenceError marks a tail still failing at MAX_ORDER.
+    pass per accepted chunk, up to y_0 and counted in its storage; the
+    accepted orders; and the failing members by index. A failing member
+    has order 0 and NaN rho_0; ConvergenceError marks a tail still failing
+    at MAX_ORDER.
     """
     orders = np.minimum(np.asarray(orders, dtype=int), MAX_ORDER)
     dim2 = lp.shape[0]
@@ -604,18 +633,16 @@ def solve_converged_batch(l0_of: Callable[[np.ndarray], np.ndarray],
             group = pending[orders[pending] == n]
             chunk = max(1, CHUNK_BYTES // _member_bytes(dim2, n, dl0 is not None))
             for members in np.array_split(group, -(-group.size // chunk)):
-                x, failed, tangent = solve_batch(l0_of(members), lp, delta, n, dl0)
+                x, failed, tangent = solve_batch(l0_of(members), lp, delta, n, dl0,
+                                                 _kept_by_ladder)
                 ok = _tails_ok(x.harmonic(n), x.harmonic(0))
-                finite = np.all([np.isfinite(part).all(axis=(1, 2)) for part in x.parts],
-                                axis=0)
                 for b, exc in failed.items():
-                    if ok[b] or n >= MAX_ORDER or not finite[b]:
-                        errors[int(members[b])] = exc
+                    errors[int(members[b])] = exc
                     ok[b] = False
                 done = members[ok]
                 rho0[0, done] = x.full(0)[ok, 0]
                 if dl0 is not None and done.size:
-                    rho0[1, done] = tangent(np.flatnonzero(ok)).full(0)[:, 0]
+                    rho0[1, done] = tangent(np.flatnonzero(ok), 0).full(0)[:, 0]
                 accepted[done] = n
                 # free this chunk's harmonics and S_n (the tangent
                 # holds them) before the next chunk forms its own

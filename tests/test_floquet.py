@@ -465,6 +465,19 @@ class TestTangent:
             assert np.array_equal(subset[row], alone([0]).full()[0])
 
 
+    @pytest.mark.parametrize("order", [10, 120])
+    def test_zeroth_harmonic_alone_is_bitwise_that_of_every_harmonic(self, order):
+        # the ladder reads y_0 alone, so its sweep up stops there
+        per_d2, per_shift = detuning_generators()[:2]
+        paper = liouvillian(rate=0.2)
+        stack = np.stack([paper.l0, paper.l0 + 0.1 * per_d2, paper.l0 - 60.0 * per_shift])
+        _, _, tangent = solve_batch(stack, paper.l_plus, 0.2, order, per_d2)
+        for members in (np.arange(3), np.array([2, 0])):
+            y0 = tangent(members, 0)
+            assert y0.order == 0
+            assert np.array_equal(y0.full(), tangent(members).full()[:, order:order + 1])
+
+
 class TestSolveFloquet:
     def test_no_drive_reduces_to_static_steady_state(self):
         drive = DriveConfig(omega_c=0.0, delta=0.2)
@@ -626,6 +639,77 @@ class TestSolveConverged:
         with pytest.raises(ConvergenceError):
             converged(liouvillian())
         assert solved_orders == [1, 3, 5, 6]
+
+
+class TestLadderChecks:
+    """The ladder checks a member only where it keeps the verdict: the tail
+    passes, a harmonic is not finite, or the rung is at MAX_ORDER. Any
+    other member climbs, whatever its checks would say."""
+
+    @staticmethod
+    def off_the_blocks(l0, value=np.inf):
+        """``l0`` with an entry the sector blocks never read set to
+        ``value``: the harmonics stay finite, the residual check fails."""
+        l0 = l0.copy()
+        l0[..., PAPER_EVEN[3], TestResidualCheck.ODD[1]] = value
+        return l0
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """(order, members) of every solve_batch call, in call order."""
+        calls = []
+        solve = floquet.solve_batch
+
+        def recording(l0, lp, delta, order, *args):
+            calls.append((order, l0.shape[0]))
+            return solve(l0, lp, delta, order, *args)
+
+        monkeypatch.setattr(floquet, "solve_batch", recording)
+        return calls
+
+    def test_nan_member_reported_at_its_first_rung(self, solved):
+        paper = liouvillian()
+        stack = np.stack([paper.l0, paper.l0])
+        stack[1] = np.nan
+        rho0, orders, errors = solve_converged_batch(
+            lambda m: stack[m], paper.l_plus, PAPER_DRIVE.delta, [1, 1])
+        assert list(errors) == [1]
+        assert isinstance(errors[1], DegenerateModelError)
+        assert orders.tolist() == [10, 0]
+        assert solved == [(1, 2), (3, 1), (5, 1), (7, 1), (10, 1)]
+        assert np.all(np.isnan(rho0[0, 1]))
+
+    def test_passing_tail_with_failing_residual_reported(self, solved):
+        # the tail fails below order 10, so the member climbs to it unchecked
+        paper = liouvillian()
+        l0 = self.off_the_blocks(paper.l0)[None]
+        rho0, orders, errors = solve_converged_batch(
+            lambda m: l0[m], paper.l_plus, PAPER_DRIVE.delta, [1])
+        assert list(errors) == [0]
+        assert isinstance(errors[0], DegenerateModelError)
+        assert orders.tolist() == [0]
+        assert solved == [(1, 1), (3, 1), (5, 1), (7, 1), (10, 1)]
+        assert np.all(np.isnan(rho0))
+
+    def test_failing_tail_and_residual_below_the_cap_climbs(self, solved, monkeypatch):
+        # the stand-in spoils every rung below order 10, where the tail
+        # fails too: the member climbs and accepts at 10 with the value of
+        # the unspoiled solve
+        paper = liouvillian()
+        spoiled = self.off_the_blocks(paper.l0)[None]
+        x, errors, _ = solve_batch(spoiled, paper.l_plus, PAPER_DRIVE.delta, 7)
+        assert isinstance(errors[0], DegenerateModelError)
+        assert not floquet._tails_ok(x.harmonic(7), x.harmonic(0))[0]
+        solve = floquet.solve_batch
+
+        def spoiled_below_ten(l0, lp, delta, order, *args):
+            return solve(spoiled if order < 10 else l0, lp, delta, order, *args)
+
+        monkeypatch.setattr(floquet, "solve_batch", spoiled_below_ten)
+        rho0, order = converged(paper)
+        assert solved == [(1, 1), (3, 1), (5, 1), (7, 1), (10, 1)]
+        assert order == 10
+        assert np.array_equal(rho0, solve_floquet(paper, PAPER_DRIVE.delta, 10).harmonic(0))
 
 
 class TestTimeDomainOracle:
