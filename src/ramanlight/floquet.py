@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .atom import DegenerateModelError, LiouvillianHarmonics
 
@@ -174,19 +175,14 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve over a stack; an exactly singular member gives NaN.
 
     LAPACK solves every member on its own, so a member's result does not
-    depend on the stack it is in.
+    depend on the stack it is in. This calls the private gufunc that
+    np.linalg.solve wraps, under the same error state less its raise on a
+    singular matrix: one LAPACK call per stack, singular member or not,
+    without the wrapper's type checks, which cost about 4 us on each of
+    the continued fraction's many small solves.
     """
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        b = np.broadcast_to(b, a.shape[:-2] + b.shape[-2:])
-        x = np.full(b.shape, np.nan, dtype=complex)
-        for idx in np.ndindex(a.shape[:-2]):
-            try:
-                x[idx] = np.linalg.solve(a[idx], b[idx])
-            except np.linalg.LinAlgError:
-                pass
-        return x
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(a, b, signature="DD->D")
 
 
 def _transposition(dim2: int) -> np.ndarray:
@@ -667,27 +663,14 @@ def extract_dc_coherences(fd: FloquetDensity) -> tuple[complex, complex]:
     return complex(rho0[2, 0]), complex(rho0[3, 0])
 
 
-def choose_truncation(liouv: LiouvillianHarmonics, delta: float,
-                      tol: float = 1e-8, order_max: int = 25) -> int:
-    """Smallest truncation order whose dc coherences are stable under order + 2.
-
-    Walks the odd ladder 1, 3, 5, ... comparing the extracted (rho31, rho41)
-    between successive solves; converged when both change by less than
-    ``tol`` relative (with a tiny absolute floor for vanishing coherences).
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    prev = extract_dc_coherences(solve_floquet(liouv, delta, 1))
-    order = 1
-    while order + 2 <= order_max:
-        cur = extract_dc_coherences(solve_floquet(liouv, delta, order + 2))
-        ok = all(abs(c - p) <= tol * abs(c) + 1e-14 for c, p in zip(cur, prev))
-        if ok:
-            return order
-        prev = cur
-        order += 2
-    raise ConvergenceError(
-        f"coherences not stable to {tol:g} at truncation order {order_max}")
+def choose_truncation(liouv: LiouvillianHarmonics, delta: float) -> int:
+    """The truncation order ``solve_converged_batch`` accepts for this one
+    generator from seed 1; raises the ladder's error for it."""
+    _, accepted, errors = solve_converged_batch(lambda members: liouv.l0[None],
+                                                liouv.l_plus, delta, [1])
+    if errors:
+        raise errors[0]
+    return int(accepted[0])
 
 
 def _period_operators(liouv: LiouvillianHarmonics, delta: float,

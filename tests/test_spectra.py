@@ -92,7 +92,7 @@ class TestTruncation:
         # the drive of fig5 needs the deepest stationary truncation of the
         # presets (order 14). Measured errors against order 41: 4e-11 on
         # chi(0) and 2.6e-9 on the slope; the bounds sit below the 1.0e-9
-        # and 1.4e-8 that order 13 gives, the choice of choose_truncation
+        # and 1.4e-8 that order 13, one below the ladder's, gives
         drive = DriveConfig(omega_c=55.0, delta=0.2)   # fig5: delta_c = 70
         pump = PumpModel.direct(0.0)
 
