@@ -161,7 +161,10 @@ class LiouvillianHarmonics:
 
     l0: np.ndarray
     l_plus: np.ndarray
-    dim: int = LEVELS
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.l0.shape[0])
 
 
 def ketbra(i: int, j: int, dim: int = LEVELS) -> np.ndarray:
@@ -253,7 +256,7 @@ def build_liouvillian(system: AtomicSystem, drive: DriveConfig,
 
     l0 += pump.rate() * pump_generator(pump.lindblad_form)
 
-    return LiouvillianHarmonics(l0=l0, l_plus=hamiltonian_superop(h_drive), dim=LEVELS)
+    return LiouvillianHarmonics(l0=l0, l_plus=hamiltonian_superop(h_drive))
 
 
 def pump_rate_from_field(pump: PumpModel) -> float:

@@ -45,12 +45,12 @@ from .atom import DegenerateModelError, LiouvillianHarmonics
 # fig6's classes accept at up to order 219, Omega_c = 300 gamma3 at 56
 MAX_ORDER = 600
 # live storage of one solve chunk, as ``_member_bytes`` counts it: per
-# harmonic S_k and rho_k on its sector (with the tangent g_k), per member
-# L0, its sector blocks and the zeroth-harmonic matrix. tracemalloc puts
-# the peak of a chunk, the residual and invariant checks' temporaries
-# included, at 1.05 to 1.25 times this count. At 1536 KiB each rung of a
+# harmonic S_k and rho_k on its sector (with the tangent A_k and g_k), per
+# member L0, its sector blocks and the zeroth-harmonic matrix. tracemalloc
+# puts the peak of a chunk, the residual and invariant checks' temporaries
+# included, at 1.0 to 1.22 times this count. At 2304 KiB each rung of a
 # fig6 Doppler point at R = 0 is one chunk: 15 ``solve_batch`` calls
-CHUNK_BYTES = 1536 * 2 ** 10
+CHUNK_BYTES = 2304 * 2 ** 10
 COMPLEX_BYTES = 16
 
 
@@ -286,28 +286,6 @@ def _sectors(l0: np.ndarray, lp: np.ndarray,
     return np.flatnonzero(u > 0), np.flatnonzero(u < 0)
 
 
-def _fraction_blocks(blocks, lm_blocks, delta: float, s: list,
-                     members=slice(None)):
-    """A_n = L0 - i n delta + L(-1) S_{n+1} for n = order ... 1, on the
-    sector of n's parity, for the given ``members`` of the batch.
-
-    Yields (n, A_n). ``blocks`` holds L0 on the even and on the odd sector
-    for the members that ``s`` covers, ``lm_blocks`` L(-1) into each
-    sector. A_n reads s[n], so the continued fraction fills s[n] before it
-    asks for the next block.
-    """
-    order = len(s)
-    for n in range(order, 0, -1):
-        a = blocks[n % 2][members]
-        if isinstance(members, slice):   # a view: shift a copy
-            a = a.copy()
-        diagonal = np.einsum("...ii->...i", a)   # a view, shifted in place
-        diagonal -= 1j * n * delta
-        if n < order:
-            a += lm_blocks[n % 2] @ s[n][members]
-        yield n, a
-
-
 def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
                         delta: float, order: int, dl0: np.ndarray | None,
                         sectors: tuple[np.ndarray, np.ndarray]):
@@ -356,9 +334,18 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
     # L(+-1) into the sector of n's parity from that of n -+ 1
     lp_blocks = [lp[sectors[p][:, None], sectors[1 - p]] for p in (0, 1)]
     lm_blocks = [lm[sectors[p][:, None], sectors[1 - p]] for p in (0, 1)]
+    # A_n = L0 - i n delta + L(-1) S_{n+1} on the sector of n's parity,
+    # kept for the tangent when there is one
     s: list = [None] * order
-    for n, a in _fraction_blocks(blocks, lm_blocks, delta, s):
+    fraction: list = [None] * order
+    for n in range(order, 0, -1):
+        a = blocks[n % 2].copy()
+        np.einsum("...ii->...i", a)[...] -= 1j * n * delta   # the diagonal, in place
+        if n < order:
+            a += lm_blocks[n % 2] @ s[n]
         s[n - 1] = _solve_stack(a, -lp_blocks[n % 2])
+        if dl0 is not None:
+            fraction[n - 1] = a
 
     # J on the even sector: P maps it to itself
     perm_even = np.searchsorted(even, perm[even])
@@ -403,8 +390,8 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
         y lives in them too. Returns y of the members, as x is returned, up
         to harmonic ``upto``: the g_n sweep down to y_0 whatever it is, the
         y_n sweep up only that far. The members are picked per harmonic: a
-        copy of a strict subset's S_n would take as much again as the
-        chunk's own.
+        copy of a strict subset's A_n and S_n would take as much again as
+        the chunk's own.
         """
         if np.array_equal(members, np.arange(m0.shape[0])):
             members = slice(None)
@@ -413,11 +400,11 @@ def _continued_fraction(l0: np.ndarray, lp: np.ndarray, lm: np.ndarray,
         g = [dl0_blocks[p] @ x.parts[p][members, ..., None] for p in (0, 1)]
         for part in g:
             np.negative(part, out=part)
-        for n, a in _fraction_blocks(blocks, lm_blocks, delta, s, members):
+        for n in range(order, 0, -1):
             r = g[n % 2][:, n // 2]
             if n < order:
                 r -= lm_blocks[n % 2] @ g[1 - n % 2][:, (n + 1) // 2]
-            r[...] = _solve_stack(a, r)
+            r[...] = _solve_stack(fraction[n - 1][members], r)
 
         closing = lm_blocks[0] @ g[1][:, 0]
         b0 = g[0][:, 0] - closing - closing[:, perm_even].conj()
@@ -574,12 +561,14 @@ def _member_bytes(dim2: int, order: int, tangent: bool) -> int:
     Per harmonic k > 0 (k < 0 is mirrored, not stored): S_k, at most
     dim^4 / 4 numbers between two sectors, and rho_k on its sector, dim^2 / 2
     numbers on average (10 and 6 for the paper's split); with the tangent
-    also g_k, dim^2 / 2 more (the ladder reads y_0 alone). Per member: L0
-    (dim^4), and its sector blocks with the zeroth-harmonic matrix, counted
-    as dim^4 more (236 of 256 for the paper's split). A batch without a
-    parity split keeps three to four times more.
+    also A_k on its sector, counted as S_k is (68 numbers on average for
+    the paper's split), and g_k, dim^2 / 2 more (the ladder reads y_0
+    alone). Per member: L0 (dim^4), and its sector blocks with the
+    zeroth-harmonic matrix, counted as dim^4 more (236 of 256 for the
+    paper's split). A batch without a parity split keeps three to four
+    times more.
     """
-    per_harmonic = dim2 ** 2 // 4 + dim2 // 2 + (dim2 // 2 if tangent else 0)
+    per_harmonic = (dim2 ** 2 // 4 + dim2 // 2) * (2 if tangent else 1)
     return (order * per_harmonic + 2 * dim2 ** 2) * COMPLEX_BYTES
 
 

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
-                             PumpModel, build_liouvillian,
+                             LiouvillianHarmonics, PumpModel, build_liouvillian,
                              detuning_generators, dissipator_superop,
                              hamiltonian_superop, ketbra, pump_generator)
 from ramanlight import floquet
@@ -767,6 +767,16 @@ class TestTimeDomainOracle:
         average, _ = integrate_to_period_average(phased, 0.3, tol=1e-11)
         expected = solve_floquet(phased, 0.3, 20).harmonic(0)
         assert np.abs(average - expected).max() <= 1e-10
+
+    def test_three_level_generator(self):
+        # dim is read off l0: the EIT reference's Lambda system has 3 levels
+        l0 = _eit_liouvillian(SYSTEM, 0.5, 0.01)
+        liouv = LiouvillianHarmonics(l0=l0, l_plus=np.zeros_like(l0))
+        assert liouv.dim == 3
+        average, _ = integrate_to_period_average(liouv, 1.0, tol=1e-12)
+        expected = solve_floquet(liouv, 1.0, 1).harmonic(0)
+        assert np.abs(average - expected).max() <= 1e-11
+        assert average[2, 0] == pytest.approx(expected[2, 0], rel=1e-9)
 
     def test_final_period_samples_are_states(self):
         liouv = liouvillian()

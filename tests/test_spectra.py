@@ -417,10 +417,10 @@ class TestScan:
         assert max(sizes) - min(sizes) <= 1
 
     def test_tangent_of_the_passing_members_keeps_the_budget(self, monkeypatch):
-        # one full chunk of fig6 classes at order 111 (ten at 1536 KiB) in
+        # one full chunk of fig6 classes at order 111 (eight at 2304 KiB) in
         # which the class at d2 = -0.846 fails its tail: the tangent of the
-        # others reads their S_n in place (1.58 CHUNK_BYTES when it copied
-        # them, in a chunk of seven; 1.05 measured now, as when all pass)
+        # others reads their A_n and S_n in place (1.58 CHUNK_BYTES when it
+        # copied them, in a chunk of seven; 0.97 measured now)
         fig6 = preset("fig6")
         liouv = build_liouvillian(fig6.system, fig6.drive, PumpModel.direct(0.0))
         per_d2, per_shift = detuning_generators()
@@ -472,13 +472,16 @@ class TestScan:
         # mirrors of those with s > 0 (28 calls and 2907 stacked solves
         # when each was solved; 19 and 1861 with rungs of 28 to 79 split
         # in two chunks). Measured: 15 calls, 1517 stacked solves. Only the
-        # members whose tail passes are checked: 34, of 186 solved
+        # members whose tail passes are checked: 34, of 186 solved. Each
+        # A_n is formed once, by the forward pass, and the tangent solves
+        # against it: 759 blocks (1492 when the tangent formed its own)
         fig6 = preset("fig6")
         calls = []
         solves = [0]
         checked = [0]
-        solve, linalg_solve = floquet.solve_batch, np.linalg.solve
-        residual = floquet._residual_errors
+        formed = [0]
+        solve, solve_stack = floquet.solve_batch, floquet._solve_stack
+        residual, einsum = floquet._residual_errors, np.einsum
 
         def counted(l0, *args):
             calls.append(l0.shape[0])
@@ -486,21 +489,28 @@ class TestScan:
 
         def counted_solve(a, b):
             solves[0] += 1
-            return linalg_solve(a, b)
+            return solve_stack(a, b)
 
         def counted_residual(x, *args):
             checked[0] += x.parts[0].shape[0]
             return residual(x, *args)
 
+        def counted_einsum(subscripts, *operands, **kwargs):
+            if subscripts == "...ii->...i":     # the diagonal that A_n shifts
+                formed[0] += 1
+            return einsum(subscripts, *operands, **kwargs)
+
         monkeypatch.setattr(floquet, "solve_batch", counted)
-        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(floquet, "_solve_stack", counted_solve)
         monkeypatch.setattr(floquet, "_residual_errors", counted_residual)
+        monkeypatch.setattr(np, "einsum", counted_einsum)
         group_index_at(fig6.system, fig6.drive, PumpModel.direct(0.0), fig6.scale,
                        doppler=fig6.doppler)
         assert len(calls) <= 15 + 2
         assert solves[0] <= 1517 * 1.05
         assert sum(calls) == 186
         assert checked[0] == 34
+        assert formed[0] == 759
 
     def test_fig6_doppler_group_index_at_zero_pump(self):
         # the doppler_ng benchmark answer, on the 64-node rule; a change to
