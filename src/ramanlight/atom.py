@@ -215,16 +215,17 @@ def build_hamiltonian_parts(system: AtomicSystem,
     return h_static, h_drive
 
 
-def detuning_generators() -> tuple[np.ndarray, np.ndarray]:
-    """dL0/d(two-photon detuning) and dL0/d(one-photon Doppler shift).
+def detuning_generators(levels: int = LEVELS) -> tuple[np.ndarray, np.ndarray]:
+    """dL0/d(two-photon detuning) and dL0/d(one-photon Doppler shift) on
+    the first ``levels`` levels (the Lambda system |1>, |2>, |3> takes 3).
 
     Only the rotating-frame level shifts of ``build_hamiltonian_parts``
-    depend on the detunings, linearly, so
-    L0(d2, s) = L0(0, 0) + d2 * G2 + s * Gs for a probe at two-photon
-    detuning d2 seen by a velocity class with shift s.
+    depend on the detunings, linearly, so L0(d2, s) = L0(0, 0) + d2 * G2
+    + s * Gs for a probe at two-photon detuning d2 seen by a velocity
+    class with shift s.
     """
-    return (hamiltonian_superop(np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex)),
-            hamiltonian_superop(np.diag([0.0, 0.0, -1.0, -1.0]).astype(complex)))
+    return (hamiltonian_superop(np.diag([0.0, -1.0, -1.0, -1.0][:levels]).astype(complex)),
+            hamiltonian_superop(np.diag([0.0, 0.0, -1.0, -1.0][:levels]).astype(complex)))
 
 
 def pump_generator(lindblad_form: bool) -> np.ndarray:

@@ -173,12 +173,20 @@ class GroupIndexResult:
 def _evaluator(values_of: Callable) -> Callable:
     """A scalar-or-array chi evaluator with its ``tangent`` attribute.
 
-    ``values_of(flat, with_tangent)`` returns the values at the flat
-    detunings (chi, and with ``with_tangent`` its derivative stacked
-    below) and the failing points by index. A failing scalar raises its
-    own error; failing array points raise one ScanError naming each of
-    them.
+    ``values_of(k, flat, with_tangent)`` of a ``_raman_solver`` gives the
+    values at the flat detunings for k = 0 (chi, and with ``with_tangent``
+    its derivative stacked below) and the failing points by index. A
+    non-finite detuning raises ValueError before any solve. A failing
+    scalar raises its own error; failing array points raise one ScanError
+    naming each of them.
     """
+    def solved(d2, with_tangent: bool):
+        points = np.asarray(d2, dtype=float)
+        flat = points.reshape(-1)
+        if not np.isfinite(flat).all():
+            raise ValueError(f"detuning {flat[~np.isfinite(flat)][0]} is not finite")
+        return (points, *values_of(np.zeros(flat.size, dtype=int), flat, with_tangent))
+
     def point_values(points: np.ndarray, values: np.ndarray,
                      errors: dict[int, Exception]):
         if errors:
@@ -191,13 +199,11 @@ def _evaluator(values_of: Callable) -> Callable:
         return values.reshape(points.shape)
 
     def evaluator(d2):
-        points = np.asarray(d2, dtype=float)
-        values, errors = values_of(points.reshape(-1), False)
+        points, values, errors = solved(d2, False)
         return point_values(points, values[0], errors)
 
     def tangent(d2):
-        points = np.asarray(d2, dtype=float)
-        values, errors = values_of(points.reshape(-1), True)
+        points, values, errors = solved(d2, True)
         return (point_values(points, values[0], errors),
                 point_values(points, values[1], {}))
 
@@ -205,41 +211,37 @@ def _evaluator(values_of: Callable) -> Callable:
     return evaluator
 
 
-def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
-                  lindblad_form: bool, doppler: DopplerConfig | None,
-                  scale: PhysicalScale | None) -> Callable:
-    """``values_of(k, d2, with_tangent)``: chi of the four-level medium at
-    pump rate rates[k] and detuning d2 (its d2 derivative below it with
-    ``with_tangent``), Doppler-averaged over ``scale``'s width if set, and
-    the failing points.
+def _raman_solver(l0s: np.ndarray, kept: list, l_plus: np.ndarray, delta: float,
+                  read: Callable, doppler: DopplerConfig | None = None,
+                  scale: PhysicalScale | None = None) -> Callable:
+    """``values_of(k, d2, with_tangent)``: chi = ``read(rho_0)`` at base
+    generator l0s[k], drive term L(+1) = ``l_plus`` beating at ``delta``
+    and detuning d2 (its d2 derivative below it with ``with_tangent``),
+    Doppler-averaged over ``scale``'s width if set, and the failing points.
 
-    L0 is affine in the rate, d2 and the shift, so it is assembled once.
-    Each member and velocity class climbs the ``solve_converged_batch``
-    ladder (L(-1) derived, one cap MAX_ORDER) from its rate's base order:
-    the top order the ladder settles at over the centre and the two Raman
-    resonances, found for all rates at once. chi reads rho31 and rho41 of
-    the zeroth harmonics the ladder returns.
+    L0 = l0s[k] + d2 G2 + s Gs (``detuning_generators`` on the medium's
+    levels) is assembled once. Each member and velocity class climbs the
+    ``solve_converged_batch`` ladder (L(-1) derived, one cap MAX_ORDER)
+    from its k's base order: the top order the ladder settles at over the
+    centre and +-delta (the four-level medium's Raman resonances), found
+    for all k at once. ``read`` takes the zeroth harmonics it returns.
 
-    When the couplings sit halfway between |3> and |4> (omega43 = 2
-    delta_c) and the doublet decays symmetrically, ``level_mirror`` finds
-    the X (|3> <-> |4>, |2> -> -|2>) that maps member (k, d2, s) onto
-    (k, -d2, -s) exactly: rho_0 -> X conj(rho_0) X^T and d rho_0/d d2 ->
-    -X conj(d rho_0/d d2) X^T, so chi -> -conj(chi) and its derivative ->
-    conj. Every member with d2 < 0, or d2 = 0 and s < 0, is then solved as
-    its mirror, whether or not that is in the batch, so a point's value
-    does not depend on its batch; a mirror pair shares one solve, its
-    accepted order and its error. Without X every member is solved as it is.
+    ``level_mirror`` looks for an X that keeps each generator in ``kept``
+    (they span l0s) and flips G2 and Gs: in the four-level medium |3> <->
+    |4>, |2> -> -|2>, when the couplings sit halfway between |3> and |4>
+    (omega43 = 2 delta_c) and the doublet decays symmetrically. X maps
+    member (k, d2, s) onto (k, -d2, -s) exactly: rho_0 -> X conj(rho_0)
+    X^T and d rho_0/d d2 -> -X conj(d rho_0/d d2) X^T, so chi ->
+    -conj(chi) and its derivative -> conj. Every member with d2 < 0, or
+    d2 = 0 and s < 0, is then solved as its mirror, whether or not that is
+    in the batch, so a point's value does not depend on its batch; a
+    mirror pair shares one solve, its accepted order and its error.
+    Without X every member is solved as it is.
     """
-    if drive.omega_p == 0:
-        raise ValueError("probe must be on: chi is defined relative to omega_p")
     if doppler is not None and scale is None:
         raise ValueError("a Doppler average needs the scale its shift width follows")
-    liouv = build_liouvillian(system, drive, PumpModel.direct(0.0))
-    pump = pump_generator(lindblad_form)
-    l0s = liouv.l0 + rates[:, None, None] * pump
-    per_d2, per_shift = detuning_generators()
-    s31, s41 = system.dipole_signs[0], system.dipole_signs[1]
-    mirror = level_mirror([liouv.l0, pump], [per_d2, per_shift], liouv.l_plus)
+    per_d2, per_shift = detuning_generators(math.isqrt(l_plus.shape[0]))
+    mirror = level_mirror(kept, [per_d2, per_shift], l_plus)
 
     def solve(k, d2, shift, orders, with_tangent: bool):
         flip = ((d2 < 0) | ((d2 == 0) & (shift < 0))) & (mirror is not None)
@@ -252,7 +254,7 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
         rho0, accepted, errors = solve_converged_batch(
             lambda m: (l0s[k[m]] + d2[m, None, None] * per_d2
                        + shift[m, None, None] * per_shift),
-            liouv.l_plus, drive.delta, orders[first], per_d2 if with_tangent else None)
+            l_plus, delta, orders[first], per_d2 if with_tangent else None)
         rho0, accepted = rho0[:, inverse], accepted[inverse]
         if flip.any():
             levels, signs = mirror
@@ -262,13 +264,13 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
         failing = np.flatnonzero(np.isin(inverse, list(errors)))
         return rho0, accepted, {int(i): errors[inverse[i]] for i in failing}
 
-    anchors = np.tile([0.0, drive.delta, -drive.delta], rates.size)
-    _, orders, errors = solve(np.repeat(np.arange(rates.size), 3), anchors,
+    anchors = np.tile([0.0, delta, -delta], l0s.shape[0])
+    _, orders, errors = solve(np.repeat(np.arange(l0s.shape[0]), 3), anchors,
                               np.zeros(anchors.size), np.ones(anchors.size, dtype=int),
                               False)
     if errors:
         raise errors[min(errors)]
-    base = orders.reshape(rates.size, 3).max(axis=1)
+    base = orders.reshape(l0s.shape[0], 3).max(axis=1)
 
     def values_of(k: np.ndarray, flat: np.ndarray, with_tangent: bool):
         point_errors: dict[int, Exception] = {}
@@ -279,15 +281,30 @@ def _raman_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
                                     np.repeat(base[k], shifts.size), with_tangent)
             for i in sorted(errors):
                 point_errors.setdefault(i // shifts.size, errors[i])
-            values = (rho0[..., 2, 0] / (s31 * drive.omega_p)
-                      + rho0[..., 3, 0] / (s41 * drive.omega_p))
-            return values.reshape((-1,) + d2s.shape)
+            values = read(rho0)
+            return values.reshape(values.shape[:1] + d2s.shape)
 
         if doppler is None:
             return at_shifts(np.zeros(1))[..., 0], point_errors
         return doppler_average(at_shifts, doppler, scale), point_errors
 
     return values_of
+
+
+def _four_level_solver(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
+                       lindblad_form: bool, doppler: DopplerConfig | None,
+                       scale: PhysicalScale | None) -> Callable:
+    """``_raman_solver`` of the four-level medium at pump rate rates[k]."""
+    if drive.omega_p == 0:
+        raise ValueError("probe must be on: chi is defined relative to omega_p")
+    liouv = build_liouvillian(system, drive, PumpModel.direct(0.0))
+    pump = pump_generator(lindblad_form)
+    s31, s41 = system.dipole_signs[0], system.dipole_signs[1]
+    return _raman_solver(
+        liouv.l0 + rates[:, None, None] * pump, [liouv.l0, pump], liouv.l_plus,
+        drive.delta, lambda rho0: (rho0[..., 2, 0] / (s31 * drive.omega_p)
+                                   + rho0[..., 3, 0] / (s41 * drive.omega_p)),
+        doppler, scale)
 
 
 def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
@@ -303,18 +320,17 @@ def make_chi_evaluator(system: AtomicSystem, drive: DriveConfig,
     batch: the exact derivative of the truncated system at each point's
     accepted order, by one tangent pass of the continued fraction.
 
-    The one-rate case of ``_raman_solver``: every point, and every velocity
-    class of a DopplerConfig average (chi and its derivative on the same
-    nodes), climbs the ladder from the base order, batch-independently.
-    The average's shift width follows ``scale``, which it requires. In a
-    mirror-symmetric medium (``_raman_solver``) a point or class at -d2,
-    -s is read off the solve at d2, s, so chi(-d2) = -conj(chi(d2)) on a
-    symmetric rule, and a failing point fails with its mirror.
+    The one-rate case of ``_four_level_solver``: every point, and every
+    velocity class of a DopplerConfig average (chi and its derivative on
+    the same nodes), climbs the ladder from the base order, independently
+    of its batch. The average's shift width follows ``scale``, which it
+    requires. In a mirror-symmetric medium (``_raman_solver``) a point or
+    class at -d2, -s is read off the solve at d2, s, so
+    chi(-d2) = -conj(chi(d2)) on a symmetric rule, and a failing point
+    fails with its mirror.
     """
-    values_of = _raman_solver(system, drive, np.array([pump.rate()]),
-                              pump.lindblad_form, doppler, scale)
-    return _evaluator(lambda flat, with_tangent: values_of(
-        np.zeros(flat.size, dtype=int), flat, with_tangent))
+    return _evaluator(_four_level_solver(system, drive, np.array([pump.rate()]),
+                                         pump.lindblad_form, doppler, scale))
 
 
 def scan_evaluator(evaluator: Callable, grid: np.ndarray) -> SusceptibilitySpectrum:
@@ -418,7 +434,7 @@ def pump_sweep(system: AtomicSystem, drive: DriveConfig, rates: np.ndarray,
     if rates.ndim != 1 or rates.size == 0 or not np.all(np.isfinite(rates)) \
             or np.any(rates < 0):
         raise ValueError("pump rates must be a non-empty 1-d array of finite rates >= 0")
-    values_of = _raman_solver(system, drive, rates, lindblad_form, doppler, scale)
+    values_of = _four_level_solver(system, drive, rates, lindblad_form, doppler, scale)
     (chi, dchi), errors = values_of(np.arange(rates.size), np.zeros(rates.size), True)
     if errors:
         raise errors[min(errors)]
@@ -451,30 +467,19 @@ def make_eit_evaluator(system: AtomicSystem, omega_c: float,
 
     The reference Lambda system keeps the rates of ``system``'s |1>, |2>,
     |3> and drops |4>; one resonant coupling ``omega_c`` replaces the
-    beating pair. Takes a scalar or an array, and has a ``tangent``, like
-    ``make_chi_evaluator``'s evaluators, from the same ladder. The
-    generator is affine in the probe detuning (only the level shifts
-    -delta_p of |2> and |3> move), so it is assembled once. With L(+1) = 0
-    (so the derived L(-1) is 0 too) every harmonic but the zeroth
-    vanishes, so the ladder's order-1 tail passes, far below the one cap
-    MAX_ORDER, and its solve (any positive frequency) is L0 rho = 0 with
-    trace(rho) = 1; chi reads rho31 of the zeroth harmonics it returns.
+    beating pair. It goes through ``make_chi_evaluator``'s solver,
+    ``_raman_solver``, with its scalar-or-array call, its ``tangent`` and
+    its mirror pairs, here under X = diag(1, 1, -1). L(+1) = 0, so the
+    ladder accepts at order 1, whose solve (at any positive frequency) is
+    L0 rho = 0 with trace(rho) = 1; chi reads rho31.
     """
     if not (math.isfinite(omega_c) and math.isfinite(omega_p)):
         raise ValueError("EIT omega_c and omega_p must be finite")
     if omega_c < 0 or omega_p <= 0:
         raise ValueError("omega_c must be >= 0 and omega_p positive")
     l0 = _eit_liouvillian(system, omega_c, omega_p)
-    per_delta_p = hamiltonian_superop(np.diag([0.0, -1.0, -1.0]).astype(complex))
-    no_drive = np.zeros_like(l0)
-
-    def values_of(flat: np.ndarray, with_tangent: bool):
-        rho0, _, errors = solve_converged_batch(
-            lambda m: l0 + flat[m, None, None] * per_delta_p, no_drive, 1.0,
-            np.ones(flat.size, dtype=int), per_delta_p if with_tangent else None)
-        return rho0[..., 2, 0] / omega_p, errors
-
-    return _evaluator(values_of)
+    return _evaluator(_raman_solver(l0[None], [l0], np.zeros_like(l0), 1.0,
+                                    lambda rho0: rho0[..., 2, 0] / omega_p))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ramanlight import floquet, spectra
-from ramanlight.cli import _pulse_band_grid, _raman_evaluator
+from ramanlight import floquet, pulses, spectra
+from ramanlight.cli import (_input_pulse, _pulse_band_grid, _pulse_half_width,
+                            _raman_evaluator)
 from ramanlight.config import ScenarioConfig, preset
 from ramanlight.atom import (AtomicSystem, DegenerateModelError, DriveConfig,
                              PumpModel, build_liouvillian, detuning_generators,
@@ -773,6 +774,76 @@ class TestEit:
     def test_negative_rate_rejected(self, rate):
         with pytest.raises(ValueError):
             make_eit_evaluator(AtomicSystem(**{rate: -0.5}), 0.5, 0.01)
+
+    def test_mirror_pairs_share_one_solve(self):
+        # X = diag(1, 1, -1) maps the Lambda system at -d onto it at d
+        positive = np.array([0.003, 0.02, 0.07, 0.2, 0.5, 1.5])
+        grid = np.concatenate((-positive[::-1], [0.0], positive))
+        evaluator = make_eit_evaluator(AtomicSystem(), 0.5, 0.01)
+        chi, dchi = evaluator.tangent(grid)
+        below, above = slice(positive.size - 1, None, -1), slice(positive.size + 1, None)
+        assert np.array_equal(chi[below], -chi[above].conj())
+        assert np.array_equal(dchi[below], dchi[above].conj())
+        for i, d in enumerate(grid):
+            assert evaluator(d) == chi[i]
+            assert evaluator.tangent(d) == (chi[i], dchi[i])
+
+    @pytest.mark.parametrize("omega_c", [0.5, 1.0])
+    def test_fig5_pulse_band_solves_half_its_bins(self, omega_c, monkeypatch):
+        # the 61 FFT bins of the band pair up around the carrier bin
+        fig5 = preset("fig5")
+        evaluator = make_eit_evaluator(fig5.system, omega_c, fig5.drive.omega_p)
+        solved = []
+        solve = spectra.solve_converged_batch
+
+        def counting(l0_of, lp, delta, orders, *args):
+            solved.append(len(orders))
+            return solve(l0_of, lp, delta, orders, *args)
+
+        monkeypatch.setattr(spectra, "solve_converged_batch", counting)
+        pulse, _ = _input_pulse(fig5)
+        pulses.propagate(pulse, evaluator, fig5.scale, _pulse_half_width(fig5))
+        assert solved == [31]
+
+
+def _media():
+    """Factories of both media's evaluators, the four-level one also on
+    an 8-node Doppler rule."""
+    fig6 = preset("fig6")
+    return {
+        "eit": lambda: make_eit_evaluator(SYSTEM, 0.5, 0.01),
+        "four-level": lambda: make_chi_evaluator(SYSTEM, FIG2C, PumpModel.direct(0.1)),
+        "doppler": lambda: make_chi_evaluator(
+            fig6.system, fig6.drive, PumpModel.direct(0.0),
+            doppler=DopplerConfig(nodes=8), scale=fig6.scale),
+    }
+
+
+class TestEvaluatorInput:
+    @pytest.mark.parametrize("medium", sorted(_media()))
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_input_gives_empty_arrays(self, medium, shape):
+        evaluator = _media()[medium]()
+        points = np.zeros(shape)
+        for values in (evaluator(points), *evaluator.tangent(points)):
+            assert values.shape == shape
+            assert values.dtype == complex
+
+    @pytest.mark.parametrize("medium", sorted(_media()))
+    @pytest.mark.parametrize("d2, named", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+        (np.array([0.1, math.nan, -math.inf]), "nan")])
+    def test_non_finite_detuning_rejected_before_solving(self, medium, d2, named,
+                                                         monkeypatch):
+        evaluator = _media()[medium]()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the detunings were checked")
+
+        monkeypatch.setattr(spectra, "solve_converged_batch", no_solve)
+        for call in (evaluator, evaluator.tangent):
+            with pytest.raises(ValueError, match=f"^detuning {named} is not finite$"):
+                call(d2)
 
 
 class TestSpectrumMetrics:
